@@ -30,6 +30,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .detectors import DriftDetector, DriftVerdict, ModelType
 from .scenario import GroundTruth, PhaseKind, ScenarioSpec, generate, label_batch
 from .telemetry import Batch, Series, batchify, concat_values
@@ -220,8 +222,9 @@ def memory_estimate(model: ModelType | str, n: int) -> int:
     Used when allocation tracing is unavailable.  Matrix-based engines
     materialize N x N float64 buffers: affinity propagation keeps similarity,
     responsibility, and availability matrices; hierarchical and optics keep a
-    distance matrix; dbscan keeps distance plus neighborhood masks; ocsvm
-    keeps the kernel matrix.  K-means/gmm/greedy stay linear in n.
+    distance matrix; ocsvm keeps the kernel matrix.  DBSCAN (sort order,
+    sorted values, neighbourhood bounds, labels), k-means, gmm and greedy
+    stay linear in n.
     """
     model = ModelType.coerce(model)
     cell = 8 * n * n
@@ -230,7 +233,7 @@ def memory_estimate(model: ModelType | str, n: int) -> int:
     if model in (ModelType.HIERARCHICAL, ModelType.OPTICS):
         return cell
     if model is ModelType.DBSCAN:
-        return cell + n * n
+        return 8 * n * 14
     if model is ModelType.ONE_CLASS_SVM:
         return cell
     if model is ModelType.KMEANS:
@@ -542,19 +545,24 @@ def _timeline_rows(
     series: Series, truth: GroundTruth, records: Sequence[RunRecord]
 ) -> list[tuple]:
     """One (t, value, truth, verdict) row per generated sample; verdict is
-    empty for samples outside any evaluated batch."""
-    spans = [(r.batch_start_t, r.batch_end_t, r.verdict.drift) for r in records]
-    rows = []
-    for sample in series.samples:
-        verdict: int | None = None
-        for lo, hi, drift in spans:
-            if lo <= sample.t < hi:
-                verdict = int(drift)
-                break
-        rows.append(
-            (sample.t, sample.value, int(truth.is_degraded_at(sample.t)), verdict)
+    empty for samples outside any evaluated batch.
+
+    Records come in batch order with a fixed batch length, so span starts and
+    ends are both sorted: the first span holding t is the first whose end
+    lies past t, provided its start is not past t.
+    """
+    times = series.times()
+    first = np.searchsorted([r.batch_end_t for r in records], times, "right")
+    inside = first < np.searchsorted([r.batch_start_t for r in records], times, "right")
+    return [
+        (
+            sample.t,
+            sample.value,
+            int(truth.is_degraded_at(sample.t)),
+            int(records[j].verdict.drift) if hit else None,
         )
-    return rows
+        for sample, j, hit in zip(series.samples, first.tolist(), inside.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

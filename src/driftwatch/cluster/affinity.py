@@ -44,30 +44,33 @@ def affinity_propagation(
     # higher self-preference, so exact ties elect the lowest index.
     S[diag, diag] -= diag * 1e-9 * max(1.0, float(np.abs(S).max()))
 
+    # Messages are updated in place; T is the one scratch N x N buffer.
     R = np.zeros((n, n))
     A = np.zeros((n, n))
+    T = np.empty((n, n))
     stable = 0
     exemplars = np.zeros(n, dtype=bool)
     converged = False
 
     for _ in range(max_iter):
-        AS = A + S
-        top = AS.argmax(axis=1)
-        first = AS[diag, top]
-        AS[diag, top] = -np.inf
-        second = AS.max(axis=1)
-        R_new = S - first[:, None]
-        R_new[diag, top] = S[diag, top] - second
-        R = damping * R + (1.0 - damping) * R_new
+        np.add(A, S, out=T)
+        top = T.argmax(axis=1)
+        first = T[diag, top]
+        T[diag, top] = -np.inf
+        second = T.max(axis=1)
+        np.subtract(S, first[:, None], out=T)
+        T[diag, top] = S[diag, top] - second
+        _damp(R, T, damping)
 
-        Rp = np.maximum(R, 0.0)
-        Rp[diag, diag] = R[diag, diag]
-        colsum = Rp.sum(axis=0)
-        A_new = np.minimum(0.0, colsum[None, :] - Rp)
-        A_new[diag, diag] = colsum - R[diag, diag]
-        A = damping * A + (1.0 - damping) * A_new
+        np.maximum(R, 0.0, out=T)
+        T[diag, diag] = R[diag, diag]
+        colsum = T.sum(axis=0)
+        np.subtract(colsum[None, :], T, out=T)
+        np.minimum(0.0, T, out=T)
+        T[diag, diag] = colsum - R[diag, diag]
+        _damp(A, T, damping)
 
-        current = (A + R)[diag, diag] > 0
+        current = A[diag, diag] + R[diag, diag] > 0
         if np.array_equal(current, exemplars):
             stable += 1
             if stable >= convergence_iter and current.any():
@@ -84,3 +87,10 @@ def affinity_propagation(
     labels = np.abs(x[:, None] - x[centers][None, :]).argmin(axis=1)
     labels[centers] = np.arange(centers.size)
     return from_labels(x, labels)
+
+
+def _damp(M: np.ndarray, new: np.ndarray, damping: float) -> None:
+    """M <- damping * M + (1 - damping) * new, in place; ``new`` is clobbered."""
+    M *= damping
+    new *= 1.0 - damping
+    M += new

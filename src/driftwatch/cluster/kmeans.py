@@ -39,20 +39,21 @@ def kmeans(data, k: int, *, max_iter: int = 100, tol: float = 1e-9, seed: int = 
         labels = d2.argmin(axis=1)
         # Re-seat any empty cluster on the currently worst-assigned point and
         # claim that point, so exact ties cannot leave the cluster empty again.
+        counts = np.bincount(labels, minlength=k)
         for j in range(k):
-            if not np.any(labels == j):
+            if counts[j] == 0:
                 worst = int(d2[idx, labels].argmax())
                 centers[j] = x[worst]
                 d2[:, j] = (x - centers[j]) ** 2
                 labels = d2.argmin(axis=1)
                 labels[worst] = j
+                counts = np.bincount(labels, minlength=k)
         history.append(float(d2[idx, labels].sum()))
         if prev_labels is not None and np.array_equal(labels, prev_labels):
             break
         prev_labels = labels
-        new_centers = np.array(
-            [x[labels == j].mean() if np.any(labels == j) else centers[j] for j in range(k)]
-        )
+        sums = np.bincount(labels, weights=x, minlength=k)
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift <= tol * scale:
@@ -62,9 +63,8 @@ def kmeans(data, k: int, *, max_iter: int = 100, tol: float = 1e-9, seed: int = 
             break
 
     # Compact away empty clusters (possible only on duplicate-heavy data).
-    present = np.unique(labels)
-    remap = {old: new for new, old in enumerate(present)}
-    labels = np.array([remap[v] for v in labels])
+    # The final centroids are per-cluster means: the gap rule reads them.
+    present, labels = np.unique(labels, return_inverse=True)
     centroids = np.array([x[labels == j].mean() for j in range(len(present))])
     return ClusterResult(
         labels=labels,

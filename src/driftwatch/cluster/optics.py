@@ -59,8 +59,8 @@ def optics(
     def update_from(p: int) -> None:
         if not math.isfinite(core_dist[p]):
             return
-        for q in np.nonzero(within[p] & ~processed)[0]:
-            reach[q] = min(reach[q], max(core_dist[p], dist[p, q]))
+        q = within[p] & ~processed
+        reach[q] = np.minimum(reach[q], np.maximum(core_dist[p], dist[p, q]))
 
     for i in range(n):
         if processed[i]:

@@ -23,24 +23,34 @@ def silhouette(data, labels) -> float:
         raise ValueError("labels must align with data")
     if labels.min() < 0:
         raise ValueError("silhouette is undefined for noise labels")
-    clusters = np.unique(labels)
-    if clusters.size < 2:
+    _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
 
-    members = {int(c): labels == c for c in clusters}
-    sizes = {c: int(m.sum()) for c, m in members.items()}
-    total = 0.0
-    for i in range(x.size):
-        own = int(labels[i])
-        if sizes[own] <= 1:
-            continue  # singleton: contributes 0
-        d = np.abs(x - x[i])
-        a = d[members[own]].sum() / (sizes[own] - 1)
-        b = min(d[m].mean() for c, m in members.items() if c != own)
-        denom = max(a, b)
-        if denom > 0:
-            total += (b - a) / denom
-    return float(total / x.size)
+    # Per cluster, sort the members once and take prefix sums.  For any x the
+    # sum of |x - v_j| over the sorted members v is then
+    # x*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < x).  Both
+    # sides are shifted by a member near the cluster's median first, so the
+    # prefix sums stay at cluster scale and the cancellation stays small.
+    sums = np.empty((sizes.size, x.size))
+    for c, m in enumerate(sizes):
+        v = np.sort(x[inverse == c])
+        centre = v[m // 2]
+        v -= centre
+        y = x - centre
+        pre = np.concatenate(([0.0], np.cumsum(v)))
+        below = np.searchsorted(v, y)
+        sums[c] = y * (2 * below - m) - 2 * pre[below] + pre[m]
+
+    own = sizes[inverse]
+    idx = np.arange(x.size)
+    a = sums[inverse, idx] / np.maximum(own - 1, 1)
+    sums /= sizes[:, None]
+    sums[inverse, idx] = np.inf
+    b = sums.min(axis=0)
+    denom = np.maximum(a, b)
+    score = np.divide(b - a, denom, out=np.zeros(x.size), where=(own > 1) & (denom > 0))
+    return float(score.sum() / x.size)
 
 
 def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> int:

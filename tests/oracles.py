@@ -61,6 +61,59 @@ def dbscan_reference(x, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
+def optics_reference(
+    x, min_samples: int, max_eps: float = math.inf, min_cluster_size: int = 3, cut_quantile: float = 0.75
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OPTICS with a scalar reachability update per neighbour and a loop-based
+    reachability cut; returns (ordering, reachability, labels)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    dist = np.abs(x[:, None] - x[None, :])
+    within = dist <= max_eps
+    core_dist = [
+        float(np.sort(dist[p])[min_samples - 1]) if within[p].sum() >= min_samples else math.inf
+        for p in range(n)
+    ]
+    reach = np.full(n, math.inf)
+    processed = [False] * n
+    order: list[int] = []
+
+    def visit(p: int) -> None:
+        processed[p] = True
+        order.append(p)
+        if math.isinf(core_dist[p]):
+            return
+        for q in range(n):
+            if within[p, q] and not processed[q]:
+                reach[q] = min(reach[q], max(core_dist[p], dist[p, q]))
+
+    for i in range(n):
+        if processed[i]:
+            continue
+        visit(i)
+        while True:
+            pending = [q for q in range(n) if not processed[q] and math.isfinite(reach[q])]
+            if not pending:
+                break
+            visit(min(pending, key=lambda q: reach[q]))  # ties go to the lowest index
+
+    labels = np.full(n, NOISE, dtype=int)
+    finite = reach[np.isfinite(reach)]
+    if finite.size:
+        cut = float(np.quantile(finite, cut_quantile))
+        k = 0
+        run: list[int] = []
+        for p in order + [None]:
+            if p is not None and reach[p] <= cut:
+                run.append(p)
+                continue
+            if len(run) >= min_cluster_size:
+                labels[run] = k
+                k += 1
+            run = []
+    return np.array(order), reach, labels
+
+
 def silhouette_reference(x, labels) -> float:
     """Direct per-point silhouette formula with plain loops."""
     x = np.asarray(x, dtype=float)

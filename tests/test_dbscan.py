@@ -66,3 +66,63 @@ class TestDbscanProperties:
         assert res.n_clusters == 2
         assert res.centroids[0] == pytest.approx(1.0)
         assert res.centroids[1] == pytest.approx(11.0)
+
+
+def _bound_rounding_differs(data, eps) -> bool:
+    """True when some pair is in range under |x_i - x_j| <= eps but not under
+    x_j <= x_i + eps (or the reverse): the binary-search guesses need fixing."""
+    x = np.sort(np.asarray(data, dtype=float))
+    exact = np.abs(x[:, None] - x[None, :]) <= eps
+    shifted = (x[None, :] <= x[:, None] + eps) & (x[None, :] >= x[:, None] - eps)
+    return bool(np.any(exact != shifted))
+
+
+class TestDbscanBoundaryTies:
+    """Inputs whose distances land on eps, where rounding decides membership."""
+
+    def check(self, data, eps, min_pts):
+        mine = dbscan(data, eps, min_pts)
+        assert np.array_equal(mine.labels, dbscan_reference(data, eps, min_pts))
+
+    def test_decimal_grids(self):
+        rng = np.random.default_rng(7)
+        covered = 0
+        for eps in (0.1, 0.3):
+            for n in (5, 17, 40, 120):
+                data = 0.1 * np.arange(n)
+                covered += _bound_rounding_differs(data, eps)
+                for min_pts in (1, 2, 3, 4):
+                    self.check(data, eps, min_pts)
+                    self.check(rng.permutation(data), eps, min_pts)
+        assert covered  # the grids do exercise the rounding mismatch
+
+    def test_rounded_mixtures_with_duplicates(self):
+        rng = np.random.default_rng(17)
+        covered = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 120))
+            data = np.round(mixture_data(rng, n), int(rng.integers(0, 2)))
+            eps = float(rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, 2.0]))
+            covered += _bound_rounding_differs(data, eps)
+            self.check(data, eps, int(rng.integers(1, 8)))
+        assert covered
+
+    def test_min_pts_one_labels_every_point(self):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            data = np.round(mixture_data(rng, n), 1)
+            eps = float(rng.choice([0.1, 0.3, 2.5]))
+            res = dbscan(data, eps, 1)
+            assert NOISE not in res.labels
+            self.check(data, eps, 1)
+
+    def test_random_sets_up_to_300(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(2, 301))
+            data = mixture_data(rng, n)
+            if rng.random() < 0.5:
+                data = np.round(data, 1) + float(rng.choice([0.0, 1e6]))
+            eps = float(rng.uniform(0.05, 8.0))
+            self.check(data, eps, int(rng.integers(1, 10)))

@@ -113,6 +113,30 @@ class TestSilhouette:
         assert score == pytest.approx(silhouette_reference(data, [0, 0, 1]), abs=1e-12)
 
 
+class TestSilhouetteSearch:
+    @staticmethod
+    def reference_best_k(data, k_max=8, seed=0):
+        """The best_k_silhouette search, scored by the loop oracle."""
+        best_k, best_score = 2, -2.0
+        for k in range(2, min(k_max, data.size - 1, np.unique(data).size) + 1):
+            labels = kmeans(data, k, seed=seed).labels
+            if np.unique(labels).size < 2:
+                continue
+            score = silhouette_reference(data, labels)
+            assert silhouette(data, labels) == pytest.approx(score, abs=1e-12)
+            if score > best_score + 1e-12:
+                best_k, best_score = k, score
+        return best_k
+
+    @pytest.mark.parametrize("n, trials", [(18, 12), (90, 6), (500, 1)])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_matches_reference_scores_and_choice(self, n, trials, shift):
+        rng = np.random.default_rng(n)
+        for seed in range(trials):
+            data = mixture_data(rng, n) + shift
+            assert best_k_silhouette(data, 2, 8, seed=seed) == self.reference_best_k(data, seed=seed)
+
+
 class TestBestK:
     def test_two_blobs(self):
         rng = np.random.default_rng(1)

@@ -5,6 +5,8 @@ import pytest
 
 from driftwatch.cluster import NOISE, dbscan, optics
 
+from oracles import mixture_data, optics_reference
+
 
 def two_blobs():
     return np.array([0.9, 0.95, 1.0, 1.05, 1.1, 49.9, 49.95, 50.0, 50.05, 50.1])
@@ -76,3 +78,23 @@ class TestOpticsProfile:
         _, base = optics(data, min_samples=2, min_cluster_size=2)
         _, shifted = optics(data + 500.0, min_samples=2, min_cluster_size=2)
         assert np.array_equal(base.labels, shifted.labels)
+
+
+class TestOpticsOracle:
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n = int(rng.integers(3, 80))
+            data = mixture_data(rng, n)
+            if trial % 3 == 1:
+                data = np.round(data)  # duplicate-heavy: many exact distance ties
+            max_eps = math.inf if trial % 2 == 0 else float(rng.uniform(0.5, 20.0))
+            min_samples = int(rng.integers(2, min(n, 5) + 1))
+            min_cluster_size = int(rng.integers(2, 5))
+            profile, res = optics(
+                data, min_samples=min_samples, max_eps=max_eps, min_cluster_size=min_cluster_size
+            )
+            ordering, reach, labels = optics_reference(data, min_samples, max_eps, min_cluster_size)
+            assert np.array_equal(profile.ordering, ordering)
+            assert np.array_equal(profile.reachability, reach)
+            assert np.array_equal(res.labels, labels)

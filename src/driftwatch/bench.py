@@ -221,15 +221,15 @@ def memory_estimate(model: ModelType | str, n: int) -> int:
 
     Used when allocation tracing is unavailable.  Matrix-based engines
     materialize N x N float64 buffers: affinity propagation keeps similarity,
-    responsibility, and availability matrices; hierarchical and optics keep a
-    distance matrix; ocsvm keeps the kernel matrix.  DBSCAN (sort order,
-    sorted values, neighbourhood bounds, labels), k-means, gmm and greedy
-    stay linear in n.
+    responsibility and availability matrices plus one scratch matrix for its
+    in-place message updates; hierarchical and optics keep a distance matrix;
+    ocsvm keeps the kernel matrix.  DBSCAN (sort order, sorted values,
+    neighbourhood bounds, labels), k-means, gmm and greedy stay linear in n.
     """
     model = ModelType.coerce(model)
     cell = 8 * n * n
     if model is ModelType.AFFINITY_PROPAGATION:
-        return 3 * cell
+        return 4 * cell
     if model in (ModelType.HIERARCHICAL, ModelType.OPTICS):
         return cell
     if model is ModelType.DBSCAN:

@@ -43,6 +43,8 @@ def optics(
     if not 0 < cut_quantile < 1:
         raise ValueError(f"cut_quantile must be in (0, 1), got {cut_quantile}")
     n = x.size
+    if min_samples > n:
+        raise ValueError(f"min_samples={min_samples} exceeds the {n} data points")
 
     dist = np.abs(x[:, None] - x[None, :])
     within = dist <= max_eps

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import as_values, check_count
-from .kmeans import kmeans
+from .kmeans import fit_result, kmeans, lloyd
+from .result import ClusterResult
 
 __all__ = ["silhouette", "best_k_silhouette"]
 
@@ -26,31 +27,80 @@ def silhouette(data, labels) -> float:
     _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
+    order = np.argsort(x, kind="stable")
+    return float(_silhouettes(x[order], order, inverse[None, :])[0])
 
-    # Per cluster, sort the members once and take prefix sums.  For any x the
-    # sum of |x - v_j| over the sorted members v is then
-    # x*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < x).  Both
-    # sides are shifted by a member near the cluster's median first, so the
-    # prefix sums stay at cluster scale and the cancellation stays small.
-    sums = np.empty((sizes.size, x.size))
-    for c, m in enumerate(sizes):
-        v = np.sort(x[inverse == c])
-        centre = v[m // 2]
-        v -= centre
-        y = x - centre
-        pre = np.concatenate(([0.0], np.cumsum(v)))
-        below = np.searchsorted(v, y)
-        sums[c] = y * (2 * below - m) - 2 * pre[below] + pre[m]
 
-    own = sizes[inverse]
-    idx = np.arange(x.size)
-    a = sums[inverse, idx] / np.maximum(own - 1, 1)
-    sums /= sizes[:, None]
-    sums[inverse, idx] = np.inf
-    b = sums.min(axis=0)
-    denom = np.maximum(a, b)
-    score = np.divide(b - a, denom, out=np.zeros(x.size), where=(own > 1) & (denom > 0))
-    return float(score.sum() / x.size)
+def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np.ndarray:
+    """Silhouette of each row of ``labelings``, a labeling of ``x`` into at
+    least 2 clusters, given the sorted values ``xs = x[order]``.
+
+    For any y, the sum of |y - v| over a cluster's sorted members v is
+    y*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < y) and pre the
+    prefix sums of v.  Both sides are shifted by the cluster's median member
+    first, so the prefix sums stay at cluster scale and the cancellation stays
+    small.  The points are sorted once, so each cluster's prefix sums are a
+    running sum over its member mask, and below for the point at position p
+    is the number of members ahead of the first position whose shifted value
+    equals p's: the shift is monotone, so that is #(v < y) exactly as a binary
+    search over the members counts it.
+    """
+    n = xs.size
+    pos = np.arange(n)
+    scores = np.empty(len(labelings))
+    unsorted = np.empty(n)
+    after = pos + 1
+    cells = pos + (n + 1) * np.arange(int(labelings.max()) + 1)[:, None]  # (cluster, point) in pre
+    # The dels below keep at most four (k, n) arrays alive at once: this loop
+    # and the Lloyd loop set the search's peak memory.
+    for i, labels in enumerate(labelings):
+        own = labels[order]
+        size = np.bincount(own)
+        if not size.all():  # compact away empty clusters
+            own = (np.cumsum(size > 0) - 1)[own]
+            size = size[size > 0]
+        k = size.size
+        grouped = own.argsort(kind="stable")  # members cluster by cluster, ascending
+        starts = size.cumsum() - size
+        y = np.subtract(xs, xs[grouped[starts + size // 2]][:, None])
+        pre = np.zeros((k, n + 1))
+        pre[own, after] = y[own, pos]
+        pre.cumsum(axis=1, out=pre)
+        # first: the cell of the first position in each row whose shifted
+        # value equals this one's, so the members ahead of it are exactly
+        # those below it.
+        runs = np.empty((k, n), dtype=bool)
+        np.not_equal(y.ravel()[1:], y.ravel()[:-1], out=runs.ravel()[1:])
+        runs[:, 0] = True
+        first = np.where(runs, cells[:k], 0)
+        del runs
+        np.maximum.accumulate(first, axis=1, out=first)
+        twice_pre = pre.take(first)
+        twice_pre *= 2  # 2 * pre[below]
+        total = pre[:, n:].copy()  # pre[m]
+        del pre
+        # below: how many member cells (sorted, as the keys) lie ahead of first
+        below = cells[own[grouped], grouped].searchsorted(first)
+        del first
+        below *= 2
+        below -= (2 * starts + size)[:, None]  # 2 * below - m
+        y *= below
+        del below
+        y -= twice_pre
+        y += total  # y now holds the distance sums
+        del twice_pre
+        mine = size[own]
+        a = y[own, pos] / np.maximum(mine - 1, 1)
+        y /= size[:, None]
+        y[own, pos] = np.inf
+        b = y.min(axis=0)
+        del y
+        denom = np.maximum(a, b)
+        b -= a
+        score = np.divide(b, denom, out=np.zeros(n), where=(mine > 1) & (denom > 0))
+        unsorted[order] = score  # sum in the callers' point order, as a per-point loop would
+        scores[i] = unsorted.sum() / n
+    return scores
 
 
 def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> int:
@@ -59,22 +109,43 @@ def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) ->
     Ties break toward the smaller k.  Data with fewer than 3 distinct values
     short-circuits to the number of distinct values (at least 1).
     """
+    return _search(as_values(data, name="data"), k_min, k_max, seed)[0]
+
+
+def best_k_fit(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> tuple[int, ClusterResult]:
+    """``best_k_silhouette`` and the fit ``kmeans(data, k, seed=seed)`` of the
+    chosen k, taken from the search instead of fitted again."""
     x = as_values(data, name="data")
+    k, labels, history = _search(x, k_min, k_max, seed)
+    return k, kmeans(x, k, seed=seed) if labels is None else fit_result(x, labels, history)
+
+
+def _search(x: np.ndarray, k_min: int, k_max: int, seed: int):
+    """(best k, its raw k-means labels, its inertia trace); the labels and
+    trace are None when the choice needed no fit.
+
+    All candidates are fitted together by one batched Lloyd loop and scored
+    from one sort of the data.
+    """
     check_count(k_min, "k_min", minimum=2)
     check_count(k_max, "k_max", minimum=2)
-    distinct = int(np.unique(x).size)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     if distinct < 3:
-        return max(1, distinct)
+        return max(1, distinct), None, None
     lo = max(2, k_min)
     hi = min(k_max, x.size - 1, distinct)
     if hi < lo:
-        return min(lo, distinct)
-    best_k, best_score = lo, -2.0
-    for k in range(lo, hi + 1):
-        fit = kmeans(x, k, seed=seed)
-        if fit.n_clusters < 2:
-            continue
-        score = silhouette(x, fit.labels)
-        if score > best_score + 1e-12:
-            best_k, best_score = k, score
-    return best_k
+        return min(lo, distinct), None, None
+    ks = range(lo, hi + 1)
+    labels, histories = lloyd(x, ks, seed=seed)
+    spread = labels.min(axis=1) < labels.max(axis=1)  # only fits of 2+ clusters are scored
+    scored = spread.nonzero()[0].tolist()
+    best, best_score = 0, -2.0
+    if scored:
+        scores = _silhouettes(xs, order, labels if spread.all() else labels[scored])
+        for c, score in zip(scored, scores.tolist()):
+            if score > best_score + 1e-12:
+                best, best_score = c, score
+    return ks[best], labels[best], histories[best]

@@ -36,11 +36,11 @@ from .cluster import (
     dbscan,
     gmm_fit,
     greedy_max,
-    kmeans,
     ocsvm_predict,
     ocsvm_train,
     optics,
 )
+from .cluster.silhouette import best_k_fit
 from .validation import (
     as_values,
     check_count,
@@ -262,19 +262,18 @@ class DriftDetector:
 
         if model is ModelType.KMEANS:
             check_positive(self.multiplier, "multiplier")
-            k = self._best_k(x)
-            centroids = kmeans(x, k, seed=self.seed).centroids
+            k, fit = best_k_fit(x, 2, self._k_max(x), seed=self.seed)
             return DetectorState(
                 model,
                 n,
                 k_train=k,
-                old_max_gap=_max_gap(centroids),
+                old_max_gap=_max_gap(fit.centroids),
                 gap_floor=1e-6 * float(x.mean()),
             )
 
         if model is ModelType.GMM:
             check_positive(self.multiplier, "multiplier")
-            k = self._best_k(x)
+            k = best_k_silhouette(x, 2, self._k_max(x), seed=self.seed)
             mixture = gmm_fit(x, k, seed=self.seed)
             return DetectorState(
                 model,
@@ -328,10 +327,11 @@ class DriftDetector:
             )
 
         if model in (ModelType.KMEANS, ModelType.GMM):
-            k_test = self._best_k(x)
             if model is ModelType.KMEANS:
-                centers = kmeans(x, k_test, seed=self.seed).centroids
+                k_test, fit = best_k_fit(x, 2, self._k_max(x), seed=self.seed)
+                centers = fit.centroids
             else:
+                k_test = best_k_silhouette(x, 2, self._k_max(x), seed=self.seed)
                 centers = gmm_fit(x, k_test, seed=self.seed).means
             new_gap = _max_gap(centers)
             if state.old_max_gap > 0:
@@ -378,9 +378,10 @@ class DriftDetector:
 
     # -- engine adapters -------------------------------------------------------
 
-    def _best_k(self, x: np.ndarray) -> int:
+    def _k_max(self, x: np.ndarray) -> int:
+        """Largest k the silhouette search tries on x."""
         check_count(self.k_max, "k_max", minimum=2)
-        return best_k_silhouette(x, 2, max(2, min(self.k_max, x.size - 1)), seed=self.seed)
+        return max(2, min(self.k_max, x.size - 1))
 
     def _ap(self, x: np.ndarray, preference: float | None):
         return affinity_propagation(

@@ -114,6 +114,57 @@ def optics_reference(
     return np.array(order), reach, labels
 
 
+def kmeans_reference(x, k: int, *, max_iter: int = 100, tol: float = 1e-9, seed: int = 0):
+    """One seeded Lloyd fit per call, as kmeans ran before its candidates were
+    batched: its own k-means++ draw and one (n, k) distance matrix per
+    iteration.  Returns (raw labels, centers, inertia history, re-seat count)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    rng = np.random.default_rng(seed)
+    centers = np.empty(k)
+    centers[0] = x[rng.integers(n)]
+    d2 = (x - centers[0]) ** 2
+    for j in range(1, k):
+        total = d2.sum()
+        pick = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        centers[j] = x[pick]
+        np.minimum(d2, (x - centers[j]) ** 2, out=d2)
+    scale = max(float(np.ptp(x)), 1e-300)
+    idx = np.arange(n)
+    history: list[float] = []
+    labels = np.zeros(n, dtype=int)
+    prev_labels = None
+    reseats = 0
+
+    for _ in range(max_iter):
+        d2 = (x[:, None] - centers[None, :]) ** 2
+        labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] == 0:
+                reseats += 1
+                worst = int(d2[idx, labels].argmax())
+                centers[j] = x[worst]
+                d2[:, j] = (x - centers[j]) ** 2
+                labels = d2.argmin(axis=1)
+                labels[worst] = j
+                counts = np.bincount(labels, minlength=k)
+        history.append(float(d2[idx, labels].sum()))
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            break
+        prev_labels = labels
+        sums = np.bincount(labels, weights=x, minlength=k)
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
+        shift = float(np.abs(new_centers - centers).max())
+        centers = new_centers
+        if shift <= tol * scale:
+            d2 = (x[:, None] - centers[None, :]) ** 2
+            labels = d2.argmin(axis=1)
+            history.append(float(d2[idx, labels].sum()))
+            break
+    return labels, centers, history, reseats
+
+
 def silhouette_reference(x, labels) -> float:
     """Direct per-point silhouette formula with plain loops."""
     x = np.asarray(x, dtype=float)

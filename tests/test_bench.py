@@ -256,7 +256,7 @@ class TestMemoryAccounting:
         n = 512
         assert memory_estimate("affinity", n) > memory_estimate("kmeans", n)
         assert memory_estimate("hierarchical", n) > memory_estimate("greedy", n)
-        assert memory_estimate("affinity", n) == 3 * 8 * n * n
+        assert memory_estimate("affinity", n) == 4 * 8 * n * n
 
 
 class TestCompareModels:

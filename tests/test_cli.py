@@ -120,6 +120,20 @@ class TestDetect:
         assert code == 2
         assert "error" in err
 
+    def test_optics_min_samples_above_batch_size_exit_2(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        train.write_text("".join(f"{i},{100 + i % 7}\n" for i in range(90)))
+        test.write_text("".join(f"{i},{100 + i % 5}\n" for i in range(18)))
+        code, out, err = run_cli(
+            capsys, "detect", "--model", "optics", "--min-samples", "30",
+            "--train", str(train), "--test", str(test),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: min_samples=30 exceeds the 18 data points" in err
+        assert "Traceback" not in err
+
     def test_config_flags_reach_detector(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"

@@ -2,8 +2,26 @@ import numpy as np
 import pytest
 
 from driftwatch.cluster import best_k_silhouette, kmeans, silhouette
+from driftwatch.cluster.kmeans import _plus_plus_init, lloyd
+from driftwatch.cluster.silhouette import best_k_fit
 
-from oracles import best_two_partition, canonical, mixture_data, silhouette_reference
+from oracles import (
+    best_two_partition,
+    canonical,
+    kmeans_reference,
+    mixture_data,
+    silhouette_reference,
+)
+
+
+def families(n: int, count: int):
+    """(name, data) pairs: plain random, mixtures, and duplicate-heavy values."""
+    rng = np.random.default_rng(n)
+    for i in range(count):
+        yield "random", rng.normal(rng.uniform(-50, 500), rng.uniform(0.1, 50), n)
+        yield "mixture", mixture_data(rng, n)
+        # a few distinct values, each repeated many times
+        yield "duplicates", rng.choice(rng.uniform(0, 100, int(rng.integers(2, 6))), n)
 
 
 class TestKmeans:
@@ -119,7 +137,7 @@ class TestSilhouetteSearch:
         """The best_k_silhouette search, scored by the loop oracle."""
         best_k, best_score = 2, -2.0
         for k in range(2, min(k_max, data.size - 1, np.unique(data).size) + 1):
-            labels = kmeans(data, k, seed=seed).labels
+            labels = kmeans_reference(data, k, seed=seed)[0]
             if np.unique(labels).size < 2:
                 continue
             score = silhouette_reference(data, labels)
@@ -168,3 +186,52 @@ class TestBestK:
         data = np.linspace(0, 1, 12)
         k = best_k_silhouette(data, 2, 6, seed=0)
         assert k >= 2
+
+
+class TestBatchedLloyd:
+    """Every candidate of the batched loop equals one fit of its k alone, as
+    the per-k loop in ``oracles.kmeans_reference`` runs it."""
+
+    @pytest.mark.parametrize("n, count", [(18, 8), (90, 4), (500, 1)])
+    def test_candidates_match_one_fit_per_k(self, n, count):
+        reseats = {"random": 0, "mixture": 0, "duplicates": 0}
+        for i, (name, data) in enumerate(families(n, count)):
+            seed = i % 5
+            ks = list(range(2, min(8, n) + 1))
+            labels, histories = lloyd(data, ks, seed=seed)
+            for row, k in enumerate(ks):
+                ref_labels, _, ref_history, ref_reseats = kmeans_reference(data, k, seed=seed)
+                assert np.array_equal(labels[row], ref_labels), (name, k, seed)
+                assert histories[row] == ref_history, (name, k, seed)
+                reseats[name] += ref_reseats
+        # duplicate-heavy data with more clusters than values forces re-seats
+        assert reseats["duplicates"] > 0
+
+    @pytest.mark.parametrize("n, count", [(18, 8), (90, 4), (500, 1)])
+    def test_kmeans_matches_reference(self, n, count):
+        for i, (name, data) in enumerate(families(n, count)):
+            for k in (1, 3, 8):
+                res = kmeans(data, k, seed=i)
+                ref_labels, _, ref_history, _ = kmeans_reference(data, k, seed=i)
+                present, compact = np.unique(ref_labels, return_inverse=True)
+                centroids = np.array([data[compact == j].mean() for j in range(present.size)])
+                assert np.array_equal(res.labels, compact), (name, k)
+                assert np.array_equal(res.centroids, centroids), (name, k)
+                assert res.inertia_history == tuple(ref_history)
+
+    def test_seeds_for_k_are_the_first_k_drawn_for_k_max(self):
+        for _, data in families(18, 6):
+            for seed in range(5):
+                longest = _plus_plus_init(data, 8, np.random.default_rng(seed))
+                for k in range(1, 8):
+                    seeds = _plus_plus_init(data, k, np.random.default_rng(seed))
+                    assert np.array_equal(seeds, longest[:k])
+
+    def test_search_fit_is_the_kmeans_fit_of_the_chosen_k(self):
+        for i, (_, data) in enumerate(families(18, 6)):
+            k, fit = best_k_fit(data, 2, 8, seed=i)
+            assert k == best_k_silhouette(data, 2, 8, seed=i)
+            res = kmeans(data, k, seed=i)
+            assert np.array_equal(fit.labels, res.labels)
+            assert np.array_equal(fit.centroids, res.centroids)
+            assert fit.inertia_history == res.inertia_history

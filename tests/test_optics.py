@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftwatch import DriftDetector
 from driftwatch.cluster import NOISE, dbscan, optics
 
 from oracles import mixture_data, optics_reference
@@ -38,6 +39,14 @@ class TestOpticsExamples:
             optics([1, 2, 3], min_cluster_size=1)
         with pytest.raises(ValueError):
             optics([1, 2, 3], cut_quantile=1.5)
+
+    def test_min_samples_above_point_count_raises(self):
+        with pytest.raises(ValueError, match=r"min_samples=4 exceeds the 3 data points"):
+            optics([1.0, 2.0, 3.0], min_samples=4)
+        # the detector fits on a long window, then meets a shorter batch
+        det = DriftDetector("optics", min_samples=30).fit(mixture_data(np.random.default_rng(4), 90))
+        with pytest.raises(ValueError, match="min_samples=30 exceeds the 18 data points"):
+            det.evaluate(mixture_data(np.random.default_rng(5), 18))
 
 
 class TestOpticsProfile:

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .detectors import DriftDetector, DriftVerdict, ModelType
+from .detectors import RULES, DriftDetector, DriftVerdict, ModelType
 from .scenario import GroundTruth, PhaseKind, ScenarioSpec, generate, label_batch
 from .telemetry import Batch, Series, batchify, concat_values
 from .validation import check_count
@@ -217,30 +217,13 @@ def _allocation(model: ModelType, fn: Callable[[], Any], n: int) -> tuple[Any, i
 
 
 def memory_estimate(model: ModelType | str, n: int) -> int:
-    """Analytic working-set estimate (bytes) for one fit/evaluate on n points.
+    """Analytic working-set estimate (bytes) for one fit/evaluate on n points,
+    from the model's ``memory`` entry in :data:`~driftwatch.detectors.RULES`.
 
-    Used when allocation tracing is unavailable.  Matrix-based engines
-    materialize N x N float64 buffers: affinity propagation keeps similarity,
-    responsibility and availability matrices plus one scratch matrix for its
-    in-place message updates; hierarchical and optics keep a distance matrix;
-    ocsvm keeps the kernel matrix.  DBSCAN (sort order, sorted values,
-    neighbourhood bounds, labels), k-means, gmm and greedy stay linear in n.
+    Used when allocation tracing is unavailable.
     """
-    model = ModelType.coerce(model)
-    cell = 8 * n * n
-    if model is ModelType.AFFINITY_PROPAGATION:
-        return 4 * cell
-    if model in (ModelType.HIERARCHICAL, ModelType.OPTICS):
-        return cell
-    if model is ModelType.DBSCAN:
-        return 8 * n * 14
-    if model is ModelType.ONE_CLASS_SVM:
-        return cell
-    if model is ModelType.KMEANS:
-        return 8 * n * 10
-    if model is ModelType.GMM:
-        return 8 * n * 12
-    return 64  # greedy: a running maximum
+    c, p = RULES[ModelType.coerce(model)].memory
+    return int(c * 8 * n**p)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +538,10 @@ def _timeline_rows(
     first = np.searchsorted([r.batch_end_t for r in records], times, "right")
     inside = first < np.searchsorted([r.batch_start_t for r in records], times, "right")
     return [
-        (
-            sample.t,
-            sample.value,
-            int(truth.is_degraded_at(sample.t)),
-            int(records[j].verdict.drift) if hit else None,
+        (t, value, int(truth.is_degraded_at(t)), int(records[j].verdict.drift) if hit else None)
+        for t, value, j, hit in zip(
+            times.tolist(), series.values().tolist(), first.tolist(), inside.tolist()
         )
-        for sample, j, hit in zip(series.samples, first.tolist(), inside.tolist())
     ]
 
 

@@ -69,9 +69,7 @@ def _detector_params(args: argparse.Namespace) -> dict:
         value = getattr(args, param, None)
         if value is not None:
             params[param] = value
-    seed = _resolve_seed(args, fallback=0)
-    if seed is not None:
-        params["seed"] = seed
+    params["seed"] = _resolve_seed(args, fallback=0)
     return params
 
 

@@ -3,8 +3,10 @@
 :class:`DriftDetector` is a scikit-learn style estimator: constructor
 arguments are stored verbatim as hyperparameters (``get_params`` /
 ``set_params`` round-trip them), ``fit`` learns the reference state from the
-training window, and ``evaluate``/``predict`` judge a fresh batch.  Eight
-models are supported; each pairs an engine with its own decision rule:
+training window, and ``evaluate``/``predict`` judge a fresh batch.  Every
+model follows one contract: ``fit`` keeps the reference values its rule
+reads, and ``evaluate`` computes one statistic on the batch and flags drift
+when it passes a threshold.  :data:`RULES` holds each model's rule:
 
 * ``affinity`` / ``dbscan`` / ``hierarchical`` / ``optics`` — recluster the
   test batch with parameters derived from training and flag drift when the
@@ -23,13 +25,12 @@ import enum
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .cluster import (
-    GmmModel,
-    OcsvmModel,
     affinity_propagation,
     agglomerative,
     best_k_silhouette,
@@ -54,6 +55,7 @@ __all__ = [
     "MODEL_NAMES",
     "DetectorState",
     "DriftVerdict",
+    "RULES",
     "DriftDetector",
     "detect",
     "verdict_record",
@@ -83,34 +85,10 @@ class ModelType(enum.Enum):
 
 MODEL_NAMES = tuple(m.value for m in ModelType)
 
-#: Models whose decision rule is a cluster-count comparison.
-_COUNT_MODELS = frozenset(
-    {
-        ModelType.AFFINITY_PROPAGATION,
-        ModelType.DBSCAN,
-        ModelType.HIERARCHICAL,
-        ModelType.OPTICS,
-    }
-)
 
-
-@dataclass(frozen=True, eq=False)
-class DetectorState:
-    """Reference statistics saved by ``fit``; exactly what the model's
-    decision rule needs, nothing more."""
-
-    model: ModelType
-    n_train: int
-    k_train: int | None = None
-    old_max_gap: float | None = None
-    gap_floor: float | None = None
-    monitoring_max: float | None = None
-    eps: float | None = None
-    preference: float | None = None
-    distance_threshold: float | None = None
-    gamma: float | None = None
-    svm: OcsvmModel | None = None
-    mixture: GmmModel | None = None
+class DetectorState(SimpleNamespace):
+    """What ``fit`` saved: ``model``, ``n_train`` and exactly the named
+    reference values the model's rule reads (``k_train``, ``eps``, ...)."""
 
 
 @dataclass(frozen=True)
@@ -205,9 +183,9 @@ class DriftDetector:
     def fit(self, X) -> "DriftDetector":
         """Learn the reference state from a training batch."""
         model = ModelType.coerce(self.model)
-        min_len = 1 if model is ModelType.GREEDY else 2
-        x = as_values(X, name="x_train", min_len=min_len)
-        self.state_ = self._fit_state(model, x)
+        rule = RULES[model]
+        x = as_values(X, name="x_train", min_len=rule.min_train)
+        self.state_ = DetectorState(model=model, n_train=x.size, **rule.fit(self, x))
         return self
 
     def evaluate(self, X) -> DriftVerdict:
@@ -221,198 +199,175 @@ class DriftDetector:
                 f"state was fitted for {state.model.value!r} but detector is {model.value!r}"
             )
         x = as_values(X, name="x_test", min_len=1)
-        return self._verdict(state, x)
+        rule = RULES[model]
+        stat, threshold, evidence = rule.test(self, vars(state), x)
+        score = rule.score(stat, threshold)
+        return DriftVerdict(drift=score > 0, score=score, detail=f"{model.value}: {evidence}")
 
     def predict(self, X) -> bool:
         return self.evaluate(X).drift
 
-    # -- per-model fitting ----------------------------------------------------
 
-    def _fit_state(self, model: ModelType, x: np.ndarray) -> DetectorState:
-        n = x.size
-        if model is ModelType.GREEDY:
-            check_non_negative(self.margin, "margin")
-            return DetectorState(model, n, monitoring_max=greedy_max(x))
-
-        if model is ModelType.AFFINITY_PROPAGATION:
-            check_positive(self.ap_multiplier, "ap_multiplier")
-            if self.ap_preference_override is not None:
-                preference = float(self.ap_preference_override)
-            else:
-                preference = -float(np.ptp(x)) ** 2  # lowest pairwise similarity
-            k = self._ap(x, preference).n_clusters
-            return DetectorState(model, n, k_train=k, preference=preference)
-
-        if model is ModelType.DBSCAN:
-            check_positive(self.eps_factor, "eps_factor")
-            check_count(self.min_pts, "min_pts", minimum=1)
-            eps = max(self.eps_factor * float(x.std()), 1e-9)
-            k = dbscan(x, eps, self.min_pts).n_clusters
-            return DetectorState(model, n, k_train=k, eps=eps)
-
-        if model is ModelType.HIERARCHICAL:
-            check_positive(self.threshold_fraction, "threshold_fraction")
-            threshold = max(self.threshold_fraction * float(x.mean()), 1e-9)
-            k = agglomerative(x, threshold, self.linkage).n_clusters
-            return DetectorState(model, n, k_train=k, distance_threshold=threshold)
-
-        if model is ModelType.OPTICS:
-            _, res = self._optics(x)
-            return DetectorState(model, n, k_train=res.n_clusters)
-
-        if model is ModelType.KMEANS:
-            check_positive(self.multiplier, "multiplier")
-            k, fit = best_k_fit(x, 2, self._k_max(x), seed=self.seed)
-            return DetectorState(
-                model,
-                n,
-                k_train=k,
-                old_max_gap=_max_gap(fit.centroids),
-                gap_floor=1e-6 * float(x.mean()),
-            )
-
-        if model is ModelType.GMM:
-            check_positive(self.multiplier, "multiplier")
-            k = best_k_silhouette(x, 2, self._k_max(x), seed=self.seed)
-            mixture = gmm_fit(x, k, seed=self.seed)
-            return DetectorState(
-                model,
-                n,
-                k_train=k,
-                old_max_gap=_max_gap(mixture.means),
-                gap_floor=1e-6 * float(x.mean()),
-                mixture=mixture,
-            )
-
-        if model is ModelType.ONE_CLASS_SVM:
-            check_unit_fraction(self.nu, "nu")
-            gamma = self.gamma_override
-            if gamma is None:
-                var = float(x.var())
-                gamma = 1.0 / (2.0 * var) if var > 1e-12 else 1.0
-            svm = ocsvm_train(x, self.nu, gamma)
-            return DetectorState(model, n, gamma=gamma, svm=svm)
-
-        raise AssertionError(f"unhandled model {model}")
-
-    # -- per-model evaluation ---------------------------------------------------
-
-    def _verdict(self, state: DetectorState, x: np.ndarray) -> DriftVerdict:
-        model = state.model
-
-        if model in _COUNT_MODELS:
-            if model is ModelType.AFFINITY_PROPAGATION:
-                k_test = self._ap(x, state.preference).n_clusters
-                threshold_k = math.ceil(self.ap_multiplier * state.k_train)
-                params = f"preference={state.preference:.6g}"
-            elif model is ModelType.DBSCAN:
-                k_test = dbscan(x, state.eps, self.min_pts).n_clusters
-                threshold_k = state.k_train
-                params = f"eps={state.eps:.6g}, min_pts={self.min_pts}"
-            elif model is ModelType.HIERARCHICAL:
-                k_test = agglomerative(x, state.distance_threshold, self.linkage).n_clusters
-                threshold_k = state.k_train
-                params = f"threshold={state.distance_threshold:.6g}, linkage={self.linkage}"
-            else:
-                _, res = self._optics(x)
-                k_test = res.n_clusters
-                threshold_k = state.k_train
-                params = f"min_samples={self.min_samples}, min_cluster_size={self.min_cluster_size}"
-            score = float(k_test - threshold_k)
-            return DriftVerdict(
-                drift=score > 0,
-                score=score,
-                detail=f"{model.value}: k_test={k_test} vs k_train={state.k_train} "
-                f"(drift when > {threshold_k}; {params})",
-            )
-
-        if model in (ModelType.KMEANS, ModelType.GMM):
-            if model is ModelType.KMEANS:
-                k_test, fit = best_k_fit(x, 2, self._k_max(x), seed=self.seed)
-                centers = fit.centroids
-            else:
-                k_test = best_k_silhouette(x, 2, self._k_max(x), seed=self.seed)
-                centers = gmm_fit(x, k_test, seed=self.seed).means
-            new_gap = _max_gap(centers)
-            if state.old_max_gap > 0:
-                threshold = self.multiplier * state.old_max_gap
-            else:
-                threshold = state.gap_floor
-            if threshold > 0:
-                score = new_gap / threshold - 1.0
-            else:
-                score = 1.0 if new_gap > 0 else 0.0
-            return DriftVerdict(
-                drift=score > 0,
-                score=score,
-                detail=f"{model.value}: max centroid gap {new_gap:.6g} vs "
-                f"threshold {threshold:.6g} (k_test={k_test}, "
-                f"old_gap={state.old_max_gap:.6g}, multiplier={self.multiplier})",
-            )
-
-        if model is ModelType.ONE_CLASS_SVM:
-            inliers, _ = ocsvm_predict(state.svm, x)
-            fraction = float(1.0 - inliers.mean())
-            return DriftVerdict(
-                drift=fraction > 0,
-                score=fraction,
-                detail=f"ocsvm: outlier fraction {fraction:.4f} on {x.size} points "
-                f"(nu={self.nu}, gamma={state.gamma:.6g})",
-            )
-
-        if model is ModelType.GREEDY:
-            peak = float(x.max())
-            limit = state.monitoring_max * (1.0 + self.margin)
-            if limit > 0:
-                score = peak / limit - 1.0
-            else:
-                score = 1.0 if peak > 0 else 0.0
-            return DriftVerdict(
-                drift=score > 0,
-                score=score,
-                detail=f"greedy: max {peak:.6g} vs limit {limit:.6g} "
-                f"(monitoring_max={state.monitoring_max:.6g}, margin={self.margin})",
-            )
-
-        raise AssertionError(f"unhandled model {model}")
-
-    # -- engine adapters -------------------------------------------------------
-
-    def _k_max(self, x: np.ndarray) -> int:
-        """Largest k the silhouette search tries on x."""
-        check_count(self.k_max, "k_max", minimum=2)
-        return max(2, min(self.k_max, x.size - 1))
-
-    def _ap(self, x: np.ndarray, preference: float | None):
-        return affinity_propagation(
-            x,
-            preference=preference,
-            damping=self.damping,
-            max_iter=self.ap_max_iter,
-            convergence_iter=self.ap_convergence_iter,
-        )
-
-    def _optics(self, x: np.ndarray):
-        return optics(
-            x,
-            min_samples=self.min_samples,
-            max_eps=self.max_eps,
-            min_cluster_size=self.min_cluster_size,
-            cut_quantile=self.cut_quantile,
-        )
+DriftDetector._PARAM_NAMES = tuple(inspect.signature(DriftDetector.__init__).parameters)[1:]
 
 
-DriftDetector._PARAM_NAMES = tuple(
-    name
-    for name in inspect.signature(DriftDetector.__init__).parameters
-    if name != "self"
-)
+# -- the rule table: the one place a model's rule lives ------------------------
+
+class Rule(NamedTuple):
+    """One model's drift rule: ``fit(det, x)`` returns the named reference
+    values ``ref`` the rule reads, ``test(det, ref, x)`` returns (statistic,
+    threshold, evidence text), and ``score(statistic, threshold)`` is the
+    verdict score, drift when > 0.  ``memory`` = (c, p) estimates the engine's
+    working set on n points as c * 8 * n**p bytes, c from a traced n = 500 fit."""
+
+    fit: Callable[..., dict[str, Any]]
+    test: Callable[..., tuple[float, float, str]]
+    score: Callable[[float, float], float]
+    memory: tuple[float, int]
+    min_train: int = 2
 
 
-def _max_gap(centers: np.ndarray) -> float:
-    """Largest difference between neighboring sorted centers (0 for a single one)."""
-    ordered = np.sort(np.asarray(centers, dtype=float))
-    return float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0
+def _excess(stat: float, threshold: float) -> float:
+    """Score of a rule that flags any excess over the threshold."""
+    return float(stat - threshold)
+
+
+def _ratio(stat: float, threshold: float) -> float:
+    """Score of a rule that flags a relative excess (the sign alone if threshold <= 0)."""
+    if threshold > 0:
+        return stat / threshold - 1.0
+    return 1.0 if stat > 0 else 0.0
+
+
+def _count_rule(derive, count, params, memory, limit=lambda det, k_train: k_train) -> Rule:
+    """Recluster the batch with the engine parameters ``derive`` took from
+    training; drift when the test cluster count exceeds ``limit(k_train)``.
+    ``params`` formats the evidence from the detector and the reference."""
+
+    def fit(det, x):
+        ref = derive(det, x)
+        return {**ref, "k_train": count(det, ref, x).n_clusters}
+
+    def test(det, ref, x):
+        k_test, k_limit = count(det, ref, x).n_clusters, limit(det, ref["k_train"])
+        return k_test, k_limit, (f"k_test={k_test} vs k_train={ref['k_train']} "
+                                 f"(drift when > {k_limit}; {params.format(det=det, **ref)})")
+
+    return Rule(fit, test, _excess, memory)
+
+
+def _gap_rule(centres, memory) -> Rule:
+    """Compare the largest gap between sorted centres (k by silhouette) with
+    ``multiplier`` times the training gap, or with a floor when that is 0."""
+
+    def max_gap(det, x):
+        check_count(det.k_max, "k_max", minimum=2)
+        k, c = centres(det, x, max(2, min(det.k_max, x.size - 1)))
+        ordered = np.sort(np.asarray(c, dtype=float))
+        return k, (float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0)
+
+    def fit(det, x):
+        check_positive(det.multiplier, "multiplier")
+        k, gap = max_gap(det, x)
+        return {"k_train": k, "old_max_gap": gap, "gap_floor": 1e-6 * float(x.mean())}
+
+    def test(det, ref, x):
+        k_test, gap = max_gap(det, x)
+        old = ref["old_max_gap"]
+        threshold = det.multiplier * old if old > 0 else ref["gap_floor"]
+        return gap, threshold, (f"max centroid gap {gap:.6g} vs threshold {threshold:.6g} "
+                                f"(k_test={k_test}, old_gap={old:.6g}, multiplier={det.multiplier})")
+
+    return Rule(fit, test, _ratio, memory)
+
+
+def _kmeans_centres(det, x, k_max):
+    k, fit = best_k_fit(x, 2, k_max, seed=det.seed)
+    return k, fit.centroids
+
+
+def _gmm_centres(det, x, k_max):
+    k = best_k_silhouette(x, 2, k_max, seed=det.seed)
+    return k, gmm_fit(x, k, seed=det.seed).means
+
+
+def _ap_preference(det, x):
+    check_positive(det.ap_multiplier, "ap_multiplier")
+    override = det.ap_preference_override  # default: the lowest pairwise similarity
+    return {"preference": -float(np.ptp(x)) ** 2 if override is None else float(override)}
+
+
+def _dbscan_eps(det, x):
+    check_positive(det.eps_factor, "eps_factor")
+    check_count(det.min_pts, "min_pts", minimum=1)
+    return {"eps": max(det.eps_factor * float(x.std()), 1e-9)}
+
+
+def _hierarchical_threshold(det, x):
+    check_positive(det.threshold_fraction, "threshold_fraction")
+    return {"distance_threshold": max(det.threshold_fraction * float(x.mean()), 1e-9)}
+
+
+def _ocsvm_fit(det, x):
+    check_unit_fraction(det.nu, "nu")
+    gamma = det.gamma_override
+    if gamma is None:
+        var = float(x.var())
+        gamma = 1.0 / (2.0 * var) if var > 1e-12 else 1.0
+    return {"gamma": gamma, "svm": ocsvm_train(x, det.nu, gamma)}
+
+
+def _ocsvm_test(det, ref, x):
+    fraction = float(1.0 - ocsvm_predict(ref["svm"], x)[0].mean())
+    return fraction, 0.0, (f"outlier fraction {fraction:.4f} on {x.size} points "
+                           f"(nu={det.nu}, gamma={ref['gamma']:.6g})")
+
+
+def _greedy_fit(det, x):
+    check_non_negative(det.margin, "margin")
+    return {"monitoring_max": greedy_max(x)}
+
+
+def _greedy_test(det, ref, x):
+    peak, limit = float(x.max()), ref["monitoring_max"] * (1.0 + det.margin)
+    return peak, limit, (f"max {peak:.6g} vs limit {limit:.6g} "
+                         f"(monitoring_max={ref['monitoring_max']:.6g}, margin={det.margin})")
+
+
+#: Every model's rule.  Memory: affinity propagation holds four N x N matrices
+#: (similarity, responsibility, availability, scratch), hierarchical, optics
+#: and ocsvm about two; dbscan, kmeans and gmm stay linear in n (kmeans and
+#: gmm hold the silhouette search's k_max x n tables); greedy a running maximum.
+RULES: dict[ModelType, Rule] = {
+    ModelType.AFFINITY_PROPAGATION: _count_rule(
+        _ap_preference,
+        lambda det, ref, x: affinity_propagation(
+            x, preference=ref["preference"], damping=det.damping,
+            max_iter=det.ap_max_iter, convergence_iter=det.ap_convergence_iter),
+        "preference={preference:.6g}", memory=(4, 2),
+        limit=lambda det, k_train: math.ceil(det.ap_multiplier * k_train),
+    ),
+    ModelType.DBSCAN: _count_rule(
+        _dbscan_eps, lambda det, ref, x: dbscan(x, ref["eps"], det.min_pts),
+        "eps={eps:.6g}, min_pts={det.min_pts}", memory=(14, 1),
+    ),
+    ModelType.HIERARCHICAL: _count_rule(
+        _hierarchical_threshold,
+        lambda det, ref, x: agglomerative(x, ref["distance_threshold"], det.linkage),
+        "threshold={distance_threshold:.6g}, linkage={det.linkage}", memory=(2, 2),
+    ),
+    ModelType.OPTICS: _count_rule(
+        lambda det, x: {},
+        lambda det, ref, x: optics(
+            x, min_samples=det.min_samples, max_eps=det.max_eps,
+            min_cluster_size=det.min_cluster_size, cut_quantile=det.cut_quantile)[1],
+        "min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}", memory=(2.15, 2),
+    ),
+    ModelType.KMEANS: _gap_rule(_kmeans_centres, memory=(61, 1)),
+    ModelType.GMM: _gap_rule(_gmm_centres, memory=(61, 1)),
+    ModelType.ONE_CLASS_SVM: Rule(_ocsvm_fit, _ocsvm_test, _excess, memory=(2, 2)),
+    ModelType.GREEDY: Rule(_greedy_fit, _greedy_test, _ratio, memory=(8, 0), min_train=1),
+}
 
 
 def detect(x_train, x_test, *, model: ModelType | str = "dbscan", **params: Any) -> DriftVerdict:

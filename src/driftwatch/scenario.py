@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .telemetry import Batch, Series, ThroughputSample
+from .telemetry import Batch, Series
 from .validation import check_positive
 
 __all__ = [
@@ -265,8 +265,8 @@ def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:
         start, lo = end, hi
 
     np.clip(values, 0.0, None, out=values)
-    samples = tuple(ThroughputSample(float(t), float(v)) for t, v in zip(ts, values))
-    return Series(samples, meta=spec.intent_tag), GroundTruth(tuple(boundaries), total)
+    series = Series(np.stack((ts, values), axis=1), meta=spec.intent_tag)
+    return series, GroundTruth(tuple(boundaries), total)
 
 
 def _bounded_walk(rng: np.random.Generator, n: int, amp: float) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Throughput telemetry: samples, series, CSV ingestion, and batching.
 
 A series is an ordered run of (seconds, kb/s) measurements.  Detectors never
-see a series directly; they consume :class:`Batch` windows cut from it.  All
-types here are immutable after construction and safe to share across threads.
+see a series directly; they consume :class:`Batch` windows cut from it.
+Series and batches hold their numbers in read-only float64 arrays, so they
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from array import array
+from dataclasses import dataclass
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,67 +35,97 @@ class TelemetryError(ValueError):
     """Malformed or inconsistent telemetry input."""
 
 
-@dataclass(frozen=True, slots=True)
-class ThroughputSample:
-    """One ingress-throughput measurement: seconds since series start, kb/s."""
+class ThroughputSample(NamedTuple):
+    """One (seconds since series start, kb/s) pair of a :class:`Series`."""
 
     t: float
     value: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.t) or self.t < 0:
-            raise TelemetryError(f"sample time must be finite and >= 0, got {self.t}")
-        if not math.isfinite(self.value) or self.value < 0:
-            raise TelemetryError(f"throughput must be finite and >= 0, got {self.value}")
+
+def _check(times: np.ndarray, values: np.ndarray, where=lambda i: "") -> None:
+    """Raise :class:`TelemetryError`, prefixed with ``where(i)``, for the first
+    sample i that breaks a series invariant: time and value finite and >= 0,
+    times strictly increasing."""
+    bad_t = ~(np.isfinite(times) & (times >= 0))
+    bad_v = ~(np.isfinite(values) & (values >= 0))
+    stalled = np.concatenate(([False], np.diff(times) <= 0))
+    bad = np.flatnonzero(bad_t | bad_v | stalled)
+    if not bad.size:
+        return
+    i = int(bad[0])
+    if bad_t[i]:
+        reason = f"sample time must be finite and >= 0, got {float(times[i])}"
+    elif bad_v[i]:
+        reason = f"throughput must be finite and >= 0, got {float(values[i])}"
+    else:
+        reason = f"timestamp {float(times[i])} does not advance past {float(times[i - 1])}"
+    raise TelemetryError(where(i) + reason)
 
 
-@dataclass(frozen=True)
 class Series:
-    """An ordered, strictly increasing-in-time run of throughput samples."""
+    """An ordered, strictly increasing-in-time run of throughput samples.
 
-    samples: tuple[ThroughputSample, ...]
-    meta: str = ""
+    ``samples`` is a sequence of ``(t, value)`` pairs, such as
+    :class:`ThroughputSample`, or an (n, 2) array.  The series keeps them as
+    two read-only float64 columns, which ``times()`` and ``values()`` return
+    without copying.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise TelemetryError("series must contain at least one sample")
-        times = [s.t for s in self.samples]
-        for prev, cur in zip(times, times[1:]):
-            if cur <= prev:
-                raise TelemetryError(
-                    f"timestamps must strictly increase ({prev} then {cur})"
-                )
+    def __init__(self, samples, meta: str = "") -> None:
+        pairs = np.asarray(samples, dtype=float)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size:
+            raise TelemetryError(f"series needs (t, value) pairs, got shape {pairs.shape}")
+        self._columns = pairs.T.copy()
+        _check(*self._columns)
+        self._columns.flags.writeable = False
+        self.meta = meta
+
+    @property
+    def samples(self) -> tuple[ThroughputSample, ...]:
+        """The samples as (t, value) pairs, built on each call."""
+        return tuple(map(ThroughputSample, *self._columns.tolist()))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._columns.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.meta == other.meta and np.array_equal(self._columns, other._columns)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self._columns[0]
 
     def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples])
+        return self._columns[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """A contiguous window of throughput values covering [start_t, end_t)."""
+    """A contiguous window of throughput values covering [start_t, end_t).
+
+    ``values`` is kept as a read-only float64 array: a read-only input (a
+    view of a series column) as it is, anything else as a copy.  Batches
+    compare by identity.
+    """
 
     start_t: float
     end_t: float
-    values: tuple[float, ...] = field(default_factory=tuple)
+    values: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if not self.start_t < self.end_t:
             raise TelemetryError(f"batch needs start_t < end_t, got [{self.start_t}, {self.end_t})")
-        if not self.values:
+        if not values.size:
             raise TelemetryError("batch must contain at least one value")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def midpoint(self) -> float:
@@ -113,17 +144,24 @@ def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
     """Parse `t_seconds,throughput_kbps` lines into a series.
 
     A single leading header line is skipped when its first column is not
-    numeric.  Raises :class:`TelemetryError` with the offending line number on
-    malformed records, non-monotonic timestamps, negative values, or empty
-    input.
+    numeric.  Raises :class:`TelemetryError` with the line number of the first
+    bad record: malformed, non-monotonic in time, negative or non-finite.
+    Raises it too on empty input.  Records are parsed into flat columns; no
+    object is kept per record.
     """
-    samples: list[ThroughputSample] = []
+    times, values, linenos = array("d"), array("d"), array("q")
+    at_line = lambda i: f"line {linenos[i]}: "  # noqa: E731
+
+    def fail(lineno: int, message: str) -> TelemetryError:
+        _check(np.frombuffer(times), np.frombuffer(values), at_line)  # earlier records first
+        return TelemetryError(f"line {lineno}: {message}")
+
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise TelemetryError(f"line {lineno}: not valid UTF-8 ({exc})") from exc
+                raise fail(lineno, f"not valid UTF-8 ({exc})") from exc
         line = raw.strip()
         if not line:
             continue
@@ -131,31 +169,27 @@ def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
         if lineno == 1 and not _is_number(fields[0]):
             continue  # header
         if len(fields) != 2:
-            raise TelemetryError(f"line {lineno}: expected 2 comma-separated fields, got {len(fields)}")
+            raise fail(lineno, f"expected 2 comma-separated fields, got {len(fields)}")
         try:
             t, value = float(fields[0]), float(fields[1])
         except ValueError as exc:
-            raise TelemetryError(f"line {lineno}: {exc}") from exc
-        try:
-            sample = ThroughputSample(t, value)
-        except TelemetryError as exc:
-            raise TelemetryError(f"line {lineno}: {exc}") from exc
-        if samples and sample.t <= samples[-1].t:
-            raise TelemetryError(
-                f"line {lineno}: timestamp {sample.t} does not advance past {samples[-1].t}"
-            )
-        samples.append(sample)
-    if not samples:
+            raise fail(lineno, str(exc)) from exc
+        times.append(t)
+        values.append(value)
+        linenos.append(lineno)
+    if not times:
         raise TelemetryError("no samples found in input")
-    return Series(tuple(samples), meta=meta)
+    columns = np.stack((np.frombuffer(times), np.frombuffer(values)), axis=1)
+    _check(columns[:, 0], columns[:, 1], at_line)
+    return Series(columns, meta=meta)
 
 
 def render_csv(series: Series, sink: IO[str], *, header: bool = True) -> None:
     """Write a series in the CSV wire format (full float precision)."""
     if header:
         sink.write(CSV_HEADER + "\n")
-    for s in series.samples:
-        sink.write(f"{s.t!r},{s.value!r}\n")
+    for t, value in zip(series.times().tolist(), series.values().tolist()):
+        sink.write(f"{t!r},{value!r}\n")
 
 
 def _is_number(token: str) -> bool:
@@ -176,42 +210,33 @@ def batchify(series: Series, batch_len: float = 9.0, stride: float = 9.0) -> lis
     """
     batch_len = check_positive(batch_len, "batch_len")
     stride = check_positive(stride, "stride")
-    times = series.times()
-    values = series.values()
-    if len(times) >= 2:
-        span_end = float(times[-1] + np.median(np.diff(times)))
-    else:
-        span_end = float(times[-1])
-    slack = 1e-9 * max(1.0, batch_len)
-    batches: list[Batch] = []
-    i = 0
-    while True:
-        start = i * stride
-        end = start + batch_len
-        if end > span_end + slack:
-            break
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, end, side="left"))
-        if hi > lo:
-            batches.append(Batch(start, end, tuple(values[lo:hi])))
-        i += 1
-    return batches
+    times, values = series.times(), series.values()
+    span_end = float(times[-1] + np.median(np.diff(times))) if times.size >= 2 else float(times[-1])
+    limit = span_end + 1e-9 * max(1.0, batch_len)
+    starts = np.arange(int(limit // stride) + 2) * stride
+    starts = starts[starts + batch_len <= limit]
+    lo = np.searchsorted(times, starts, side="left").tolist()
+    hi = np.searchsorted(times, starts + batch_len, side="left").tolist()
+    return [
+        Batch(start, start + batch_len, values[a:b])
+        for start, a, b in zip(starts.tolist(), lo, hi)
+        if b > a
+    ]
 
 
 def batch_stats(batch: Batch) -> BatchStats:
     """Mean, population standard deviation, min, and max of a batch."""
-    arr = np.asarray(batch.values, dtype=float)
     return BatchStats(
-        mean=float(arr.mean()),
-        std=float(arr.std()),  # population normalization: lone samples get std 0
-        min=float(arr.min()),
-        max=float(arr.max()),
+        mean=float(batch.values.mean()),
+        std=float(batch.values.std()),  # population normalization: lone samples get std 0
+        min=float(batch.values.min()),
+        max=float(batch.values.max()),
     )
 
 
 def concat_values(batches: Iterable[Batch]) -> np.ndarray:
     """Concatenate batch values in order (training-window helper)."""
-    chunks = [np.asarray(b.values, dtype=float) for b in batches]
+    chunks = [b.values for b in batches]
     if not chunks:
         raise TelemetryError("cannot concatenate zero batches")
     return np.concatenate(chunks)

@@ -258,6 +258,16 @@ class TestMemoryAccounting:
         assert memory_estimate("hierarchical", n) > memory_estimate("greedy", n)
         assert memory_estimate("affinity", n) == 4 * 8 * n * n
 
+    @pytest.mark.parametrize("model", [m.value for m in ModelType if m is not ModelType.GREEDY])
+    def test_engine_estimate_is_within_2x_of_a_traced_fit(self, model):
+        n = 500
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(1000.0, 40.0, n // 2), rng.normal(1600.0, 40.0, n - n // 2)])
+        det = DriftDetector(model)
+        _, _, peak, basis = _measure(lambda: det.fit(x))
+        assert basis == "measured"
+        assert 0.5 <= peak / memory_estimate(model, n) <= 2.0, (peak, memory_estimate(model, n))
+
 
 class TestCompareModels:
     def test_single_run_report(self):

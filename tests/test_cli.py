@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from driftwatch.cli import main
+from driftwatch.cli import _DETECTOR_FLAGS, main
+from driftwatch.detectors import DriftDetector
 from driftwatch.scenario import PhaseKind, PhaseSpec, ScenarioSpec
 
 
@@ -35,6 +36,14 @@ def capture(tmp_path, capsys):
     )
     assert code == 0
     return out_base
+
+
+class TestDetectorFlags:
+    def test_flags_map_one_to_one_to_constructor_parameters(self):
+        flags = [flag for flag, _, _, _ in _DETECTOR_FLAGS]
+        params = [param for _, param, _, _ in _DETECTOR_FLAGS]
+        assert len(set(flags)) == len(flags) and len(set(params)) == len(params)
+        assert set(params) | {"seed"} == set(DriftDetector().get_params()) - {"model"}
 
 
 class TestGenerate:

@@ -197,6 +197,43 @@ class TestDetectorInvariants:
         assert a == b
 
 
+class TestGoldenVerdicts:
+    """Exact verdicts, detail text included, for every model on one seeded pair."""
+
+    GOLDEN = [
+        ("affinity", False, 0.0,
+         "affinity: k_test=2 vs k_train=2 (drift when > 2; preference=-59685)"),
+        ("dbscan", False, 0.0,
+         "dbscan: k_test=1 vs k_train=1 (drift when > 1; eps=52.4038, min_pts=4)"),
+        ("gmm", True, 2.850721210249263,
+         "gmm: max centroid gap 624.021 vs threshold 162.053 (k_test=2, old_gap=81.0265, "
+         "multiplier=2.0)"),
+        ("hierarchical", True, 1.0,
+         "hierarchical: k_test=3 vs k_train=2 (drift when > 2; threshold=120.45, linkage=average)"),
+        ("kmeans", True, 2.569213005651688,
+         "kmeans: max centroid gap 624.021 vs threshold 174.834 (k_test=2, old_gap=87.4172, "
+         "multiplier=2.0)"),
+        ("optics", False, -6.0,
+         "optics: k_test=1 vs k_train=7 (drift when > 7; min_samples=3, min_cluster_size=3)"),
+        ("ocsvm", True, 0.38888888888888884,
+         "ocsvm: outlier fraction 0.3889 on 18 points (nu=0.1, gamma=0.000182072)"),
+        ("greedy", True, 0.20921966085486643,
+         "greedy: max 1992.81 vs limit 1648.02 (monitoring_max=1318.41, margin=0.25)"),
+    ]
+
+    @pytest.mark.parametrize("model, drift, score, detail", GOLDEN)
+    def test_verdict_is_pinned(self, model, drift, score, detail):
+        rng = np.random.default_rng(2024)
+        train = rng.normal(1200.0, 60.0, 90)
+        test = np.concatenate([rng.normal(1250.0, 40.0, 12), rng.normal(1900.0, 40.0, 6)])
+        verdict = DriftDetector(model).fit(train).evaluate(test)
+        assert (verdict.drift, verdict.score, verdict.detail) == (drift, score, detail)
+        assert type(verdict.drift) is bool and type(verdict.score) is float
+
+    def test_every_model_is_pinned(self):
+        assert sorted(m for m, *_ in self.GOLDEN) == sorted(MODEL_NAMES)
+
+
 class TestVerdictRecord:
     def test_wire_format_fields(self):
         verdict = detect([1.0, 2.0], [10.0, 20.0], model="greedy")

@@ -70,6 +70,51 @@ class TestIngestCsv:
         assert ingest_csv(io.StringIO(sink.getvalue())) == series
 
 
+class TestColumns:
+    def test_series_columns_are_read_only(self):
+        series = make_series([1.0, 2.0, 3.0])
+        for column in (series.values(), series.times()):
+            with pytest.raises(ValueError):
+                column[0] = 5.0
+
+    def test_batch_values_are_read_only(self):
+        batch = batchify(make_series(range(18)), 9, 9)[0]
+        with pytest.raises(ValueError):
+            batch.values[0] = 5.0
+
+    def test_batch_keeps_a_read_only_copy_of_a_writable_array(self):
+        values = np.array([1.0, 2.0])
+        batch = Batch(0, 1, values)
+        values[0] = 7.0
+        assert batch.values.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            batch.values[1] = 5.0
+
+    def test_batch_equality_does_not_raise(self):
+        a, b = batchify(make_series(range(18)), 9, 9)
+        assert a == a
+        assert a != b
+
+    def test_array_and_samples_build_equal_series(self):
+        rng = np.random.default_rng(5)
+        pairs = np.stack((np.cumsum(rng.uniform(0.1, 2.0, 30)), rng.uniform(0, 1e3, 30)), axis=1)
+        from_samples = Series(tuple(ThroughputSample(t, v) for t, v in pairs))
+        assert Series(pairs) == from_samples
+        assert from_samples.samples == tuple(ThroughputSample(t, v) for t, v in pairs.tolist())
+        assert Series(pairs, meta="other") != from_samples
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,1\n\n2,-1", 3),  # the blank line still counts
+        ("0,1\n1,nan", 2),
+        ("t,kbps\n0,1\n1,inf", 3),
+        ("0,1\n1,-1\n2,abc", 2),  # an earlier bad record comes before a parse error
+        ("0,1\n1,1\n1,2\n3,x,y", 3),
+    ])
+    def test_first_bad_record_names_its_line(self, text, line):
+        with pytest.raises(TelemetryError, match=f"^line {line}: "):
+            ingest_csv(io.StringIO(text))
+
+
 class TestSeriesInvariants:
     def test_equal_timestamps_rejected(self):
         with pytest.raises(TelemetryError):
@@ -78,6 +123,17 @@ class TestSeriesInvariants:
     def test_empty_rejected(self):
         with pytest.raises(TelemetryError):
             Series(())
+
+    @pytest.mark.parametrize("samples", [
+        [(0.0, -1.0)], [(-1.0, 1.0)], [(0.0, float("nan"))], [(0.0, 1.0), (float("inf"), 1.0)],
+    ])
+    def test_invalid_samples_rejected(self, samples):
+        with pytest.raises(TelemetryError):
+            Series([ThroughputSample(t, v) for t, v in samples])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(TelemetryError, match="pairs"):
+            Series(np.zeros((3, 3)))
 
 
 class TestBatchify:

@@ -9,6 +9,7 @@ environment variable overrides default seeds when no --seed flag is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -143,9 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         if args.command == "generate":
             return _cmd_generate(args)

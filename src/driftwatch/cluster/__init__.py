@@ -6,7 +6,7 @@ plain Euclidean distance on the scalar values, and is deterministic given
 """
 
 from .affinity import affinity_propagation
-from .dbscan import dbscan
+from .dbscan import dbscan, dbscan_count
 from .gmm import GmmModel, gmm_assign, gmm_fit, gmm_responsibilities
 from .greedy import greedy_max
 from .hierarchy import LINKAGES, agglomerative
@@ -27,6 +27,7 @@ __all__ = [
     "agglomerative",
     "best_k_silhouette",
     "dbscan",
+    "dbscan_count",
     "gmm_assign",
     "gmm_fit",
     "gmm_responsibilities",

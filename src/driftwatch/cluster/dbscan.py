@@ -9,7 +9,12 @@ order.
 In 1-D every eps-neighbourhood is a contiguous range of the sorted values,
 and a component is a run of sorted core points whose gaps stay within eps.
 So one sort and a few binary searches replace the pairwise distance matrix
-(O(n log n) time, O(n) memory).
+(O(n log n) time, O(n) memory).  Only the range ends need a search: fl(|a - b|)
+is symmetric, so j <= i is in range of i iff i < end[j], and end is
+non-decreasing (rounded subtraction is monotone), so start[i] is the first j
+with end[j] > i.  Border points never create or merge a cluster, so
+:func:`dbscan_count` labels no point: the count is the number of runs,
+1 + #(gaps > eps between consecutive sorted core values), or 0.
 """
 
 from __future__ import annotations
@@ -19,19 +24,12 @@ import numpy as np
 from ..validation import as_values, check_count, check_positive
 from .result import NOISE, from_labels
 
-__all__ = ["dbscan"]
+__all__ = ["dbscan", "dbscan_count"]
 
 
 def dbscan(data, eps: float, min_pts: int):
-    x = as_values(data, name="data")
-    eps = check_positive(eps, "eps")
-    min_pts = check_count(min_pts, "min_pts", minimum=1)
+    x, order, xs, eps, start, end, core = _core(data, eps, min_pts)
     n = x.size
-
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    start, end = _neighbourhoods(xs, eps)
-    core = end - start >= min_pts
     labels = np.full(n, NOISE, dtype=int)
     cores = np.flatnonzero(core)
     if cores.size == 0:
@@ -51,27 +49,40 @@ def dbscan(data, eps: float, min_pts: int):
     return from_labels(x, labels)
 
 
+def dbscan_count(data, eps: float, min_pts: int) -> int:
+    """``dbscan(data, eps, min_pts).n_clusters``, counted as runs of sorted core values."""
+    _, _, xs, eps, _, _, core = _core(data, eps, min_pts)
+    runs = xs[core]
+    return int(np.count_nonzero(runs[1:] - runs[:-1] > eps)) + (runs.size > 0)
+
+
+def _core(data, eps, min_pts):
+    """(values, stable order, sorted values, eps, sorted [start, end), sorted core mask)."""
+    x = as_values(data, name="data")
+    eps = check_positive(eps, "eps")
+    min_pts = check_count(min_pts, "min_pts", minimum=1)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start, end = _neighbourhoods(xs, eps)
+    return x, order, xs, eps, start, end, end - start >= min_pts
+
+
 def _neighbourhoods(xs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per sorted point i, the range [start, end) of j with fl(|xs[j] - xs[i]|) <= eps.
 
     The rounded distance is monotone in j on either side of i, so the range is
-    contiguous.  The binary-search guesses from ``xs -/+ eps`` can be off where
-    that rounding differs from the rounded bound; each pass moves every edge
-    by one run of equal values toward the exact predicate until none moves.
+    contiguous.  The binary-search guess for ``end`` from ``xs + eps`` can be
+    off where that rounding differs from the rounded bound; each pass moves
+    every end by one run of equal values toward the exact predicate until none
+    moves.  The NaN past the last value compares false, so no end grows past
+    n, even for eps = inf.  ``start`` follows from ``end`` by symmetry.
     """
-    n = xs.size
-    start = np.searchsorted(xs, xs - eps, "left")
+    beyond = np.concatenate((xs, [np.nan]))
     end = np.searchsorted(xs, xs + eps, "right")
     while True:
-        below, first = xs[start - 1], xs[start]
-        last, above = xs[end - 1], xs[np.minimum(end, n - 1)]
-        grow_start = (start > 0) & (xs - below <= eps)
-        shrink_start = xs - first > eps
-        grow_end = (end < n) & (above - xs <= eps)
-        shrink_end = last - xs > eps
-        if not (grow_start | shrink_start | grow_end | shrink_end).any():
-            return start, end
-        start = np.where(grow_start, np.searchsorted(xs, below, "left"),
-                         np.where(shrink_start, np.searchsorted(xs, first, "right"), start))
-        end = np.where(grow_end, np.searchsorted(xs, above, "right"),
-                       np.where(shrink_end, np.searchsorted(xs, last, "left"), end))
+        last, above = xs[end - 1], beyond[end]
+        grow, shrink = above - xs <= eps, last - xs > eps
+        if not (grow | shrink).any():
+            return end.searchsorted(np.arange(xs.size), "right"), end
+        end = np.where(grow, np.searchsorted(xs, above, "right"),
+                       np.where(shrink, np.searchsorted(xs, last, "left"), end))

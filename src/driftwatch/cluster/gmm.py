@@ -39,13 +39,16 @@ def gmm_fit(data, n_components: int, *, max_iter: int = 200, tol: float = 1e-7, 
     a component.
     """
     x = as_values(data, name="data")
-    n = x.size
     m = check_count(n_components, "n_components", minimum=1)
-    if m > n:
-        raise ValueError(f"n_components={m} exceeds the {n} data points")
+    if m > x.size:
+        raise ValueError(f"n_components={m} exceeds the {x.size} data points")
+    return gmm_em(x, m, kmeans(x, m, seed=seed).centroids, max_iter=max_iter, tol=tol)
 
-    km = kmeans(x, m, seed=seed)
-    means = np.sort(np.resize(km.centroids, m))  # pad (rarely) by repetition
+
+def gmm_em(x: np.ndarray, m: int, centroids, *, max_iter: int = 200, tol: float = 1e-7) -> GmmModel:
+    """``gmm_fit``'s EM on checked values ``x``, from the centroids of ``kmeans(x, m)``."""
+    n = x.size
+    means = np.sort(np.resize(centroids, m))  # pad (rarely) by repetition
     floor = 1e-6 * float(np.ptp(x)) ** 2 + 1e-12
     assign = np.abs(x[:, None] - means[None, :]).argmin(axis=1)
     weights = np.maximum(np.bincount(assign, minlength=m) / n, 1e-3)

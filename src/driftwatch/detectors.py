@@ -33,14 +33,13 @@ import numpy as np
 from .cluster import (
     affinity_propagation,
     agglomerative,
-    best_k_silhouette,
-    dbscan,
-    gmm_fit,
+    dbscan_count,
     greedy_max,
     ocsvm_predict,
     ocsvm_train,
     optics,
 )
+from .cluster.gmm import gmm_em
 from .cluster.silhouette import best_k_fit
 from .validation import (
     as_values,
@@ -241,15 +240,16 @@ def _ratio(stat: float, threshold: float) -> float:
 
 def _count_rule(derive, count, params, memory, limit=lambda det, k_train: k_train) -> Rule:
     """Recluster the batch with the engine parameters ``derive`` took from
-    training; drift when the test cluster count exceeds ``limit(k_train)``.
+    training; ``count`` returns the cluster count, and drift is when the test
+    count exceeds ``limit(k_train)``.
     ``params`` formats the evidence from the detector and the reference."""
 
     def fit(det, x):
         ref = derive(det, x)
-        return {**ref, "k_train": count(det, ref, x).n_clusters}
+        return {**ref, "k_train": count(det, ref, x)}
 
     def test(det, ref, x):
-        k_test, k_limit = count(det, ref, x).n_clusters, limit(det, ref["k_train"])
+        k_test, k_limit = count(det, ref, x), limit(det, ref["k_train"])
         return k_test, k_limit, (f"k_test={k_test} vs k_train={ref['k_train']} "
                                  f"(drift when > {k_limit}; {params.format(det=det, **ref)})")
 
@@ -257,13 +257,14 @@ def _count_rule(derive, count, params, memory, limit=lambda det, k_train: k_trai
 
 
 def _gap_rule(centres, memory) -> Rule:
-    """Compare the largest gap between sorted centres (k by silhouette) with
-    ``multiplier`` times the training gap, or with a floor when that is 0."""
+    """Compare the largest gap between sorted centres with ``multiplier`` times
+    the training gap, or with a floor when that is 0.  ``centres(x, k,
+    centroids)`` takes them from the k-means fit of the silhouette search's k."""
 
     def max_gap(det, x):
         check_count(det.k_max, "k_max", minimum=2)
-        k, c = centres(det, x, max(2, min(det.k_max, x.size - 1)))
-        ordered = np.sort(np.asarray(c, dtype=float))
+        k, fit = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)), seed=det.seed)
+        ordered = np.sort(centres(x, k, fit.centroids))
         return k, (float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0)
 
     def fit(det, x):
@@ -279,16 +280,6 @@ def _gap_rule(centres, memory) -> Rule:
                                 f"(k_test={k_test}, old_gap={old:.6g}, multiplier={det.multiplier})")
 
     return Rule(fit, test, _ratio, memory)
-
-
-def _kmeans_centres(det, x, k_max):
-    k, fit = best_k_fit(x, 2, k_max, seed=det.seed)
-    return k, fit.centroids
-
-
-def _gmm_centres(det, x, k_max):
-    k = best_k_silhouette(x, 2, k_max, seed=det.seed)
-    return k, gmm_fit(x, k, seed=det.seed).means
 
 
 def _ap_preference(det, x):
@@ -343,28 +334,28 @@ RULES: dict[ModelType, Rule] = {
         _ap_preference,
         lambda det, ref, x: affinity_propagation(
             x, preference=ref["preference"], damping=det.damping,
-            max_iter=det.ap_max_iter, convergence_iter=det.ap_convergence_iter),
+            max_iter=det.ap_max_iter, convergence_iter=det.ap_convergence_iter).n_clusters,
         "preference={preference:.6g}", memory=(4, 2),
         limit=lambda det, k_train: math.ceil(det.ap_multiplier * k_train),
     ),
     ModelType.DBSCAN: _count_rule(
-        _dbscan_eps, lambda det, ref, x: dbscan(x, ref["eps"], det.min_pts),
-        "eps={eps:.6g}, min_pts={det.min_pts}", memory=(14, 1),
+        _dbscan_eps, lambda det, ref, x: dbscan_count(x, ref["eps"], det.min_pts),
+        "eps={eps:.6g}, min_pts={det.min_pts}", memory=(9, 1),
     ),
     ModelType.HIERARCHICAL: _count_rule(
         _hierarchical_threshold,
-        lambda det, ref, x: agglomerative(x, ref["distance_threshold"], det.linkage),
+        lambda det, ref, x: agglomerative(x, ref["distance_threshold"], det.linkage).n_clusters,
         "threshold={distance_threshold:.6g}, linkage={det.linkage}", memory=(2, 2),
     ),
     ModelType.OPTICS: _count_rule(
         lambda det, x: {},
         lambda det, ref, x: optics(
             x, min_samples=det.min_samples, max_eps=det.max_eps,
-            min_cluster_size=det.min_cluster_size, cut_quantile=det.cut_quantile)[1],
+            min_cluster_size=det.min_cluster_size, cut_quantile=det.cut_quantile)[1].n_clusters,
         "min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}", memory=(2.15, 2),
     ),
-    ModelType.KMEANS: _gap_rule(_kmeans_centres, memory=(61, 1)),
-    ModelType.GMM: _gap_rule(_gmm_centres, memory=(61, 1)),
+    ModelType.KMEANS: _gap_rule(lambda x, k, centroids: centroids, memory=(61, 1)),
+    ModelType.GMM: _gap_rule(lambda x, k, centroids: gmm_em(x, k, centroids).means, memory=(61, 1)),
     ModelType.ONE_CLASS_SVM: Rule(_ocsvm_fit, _ocsvm_test, _excess, memory=(2, 2)),
     ModelType.GREEDY: Rule(_greedy_fit, _greedy_test, _ratio, memory=(8, 0), min_train=1),
 }

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from driftwatch.cluster import NOISE, dbscan
+from driftwatch.cluster import NOISE, dbscan, dbscan_count
+from driftwatch.cluster.dbscan import _neighbourhoods
 
 from oracles import canonical, dbscan_reference, mixture_data
 
@@ -68,6 +69,42 @@ class TestDbscanProperties:
         assert res.centroids[1] == pytest.approx(11.0)
 
 
+def check_neighbourhoods(xs, eps):
+    """``_neighbourhoods`` equals a scalar scan of fl(|xs[j] - xs[i]|) <= eps."""
+    start, end = _neighbourhoods(xs, eps)
+    for i, v in enumerate(xs.tolist()):
+        inside = [j for j, w in enumerate(xs.tolist()) if abs(w - v) <= eps]
+        assert (start[i], end[i]) == (inside[0], inside[-1] + 1)
+
+
+class TestDbscanCount:
+    """``dbscan_count`` is ``dbscan(...).n_clusters``; the boundary-tie cases
+    below check it against the reference too."""
+
+    def test_no_core_point_counts_zero(self):
+        for data, eps, min_pts in (([0, 5, 10], 1, 2), ([1, 2, 3], 10, 4), ([7.5], 0.1, 2)):
+            assert dbscan_count(data, eps, min_pts) == dbscan(data, eps, min_pts).n_clusters == 0
+
+    def test_border_points_do_not_merge_runs(self):
+        # Core runs end at 0 and start at 2; the border point 1 reaches both.
+        data = [-0.9, -0.9, -0.9, 0, 1, 2, 2.9, 2.9, 2.9]
+        res = dbscan(data, 1, 4)
+        assert list(res.labels) == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert dbscan_count(data, 1, 4) == res.n_clusters == 2
+
+    def test_unbounded_eps(self):
+        data = [1.0, 2.0, 3.0]
+        assert dbscan_count(data, np.inf, 2) == 1
+        assert list(dbscan(data, np.inf, 2).labels) == [0, 0, 0]
+        check_neighbourhoods(np.array(data), np.inf)
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            dbscan_count([1, 2], eps=0, min_pts=2)
+        with pytest.raises(ValueError):
+            dbscan_count([1, 2], eps=1, min_pts=0)
+
+
 def _bound_rounding_differs(data, eps) -> bool:
     """True when some pair is in range under |x_i - x_j| <= eps but not under
     x_j <= x_i + eps (or the reverse): the binary-search guesses need fixing."""
@@ -78,11 +115,15 @@ def _bound_rounding_differs(data, eps) -> bool:
 
 
 class TestDbscanBoundaryTies:
-    """Inputs whose distances land on eps, where rounding decides membership."""
+    """Inputs whose distances land on eps, where rounding decides membership.
+    Each case also checks the count, and the neighbourhoods against a scan."""
 
     def check(self, data, eps, min_pts):
         mine = dbscan(data, eps, min_pts)
-        assert np.array_equal(mine.labels, dbscan_reference(data, eps, min_pts))
+        reference = dbscan_reference(data, eps, min_pts)
+        assert np.array_equal(mine.labels, reference)
+        assert dbscan_count(data, eps, min_pts) == mine.n_clusters == len(set(reference) - {NOISE})
+        check_neighbourhoods(np.sort(np.asarray(data, dtype=float)), eps)
 
     def test_decimal_grids(self):
         rng = np.random.default_rng(7)

@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 
 from driftwatch.cluster import gmm_assign, gmm_fit, gmm_responsibilities
+from driftwatch.cluster.gmm import gmm_em
+from driftwatch.cluster.silhouette import best_k_fit
 
 from oracles import mixture_data
 
 
 class TestGmmFit:
+    def test_em_from_the_search_fit_is_gmm_fit(self):
+        # The gmm detector starts EM from the silhouette search's k-means fit.
+        rng = np.random.default_rng(5)
+        for seed in range(8):
+            data = np.round(mixture_data(rng, int(rng.integers(6, 90))), int(rng.integers(0, 3)))
+            k, fit = best_k_fit(data, 2, 8, seed=seed)
+            mine, ref = gmm_em(data, k, fit.centroids), gmm_fit(data, k, seed=seed)
+            for field in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(mine, field), getattr(ref, field))
+            assert mine.log_likelihood == ref.log_likelihood
+
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(0)
         data = rng.normal(10, 2, 200)

@@ -61,7 +61,8 @@ def _add_detector_flags(sp: argparse.ArgumentParser) -> None:
     for flag, param, typ, help_text in _DETECTOR_FLAGS:
         sp.add_argument(flag, dest=param, type=typ, default=None, help=help_text)
     sp.add_argument("--seed", type=int, default=None,
-                    help="detector RNG seed (default 0, or DRIFTWATCH_SEED)")
+                    help="seed (default 0, or DRIFTWATCH_SEED); no detector draws random "
+                         "numbers, so only bench uses it, as its first scenario seed")
 
 
 def _detector_params(args: argparse.Namespace) -> dict:

@@ -1,8 +1,8 @@
 """Native 1-D clustering and novelty-detection engines.
 
 Every engine takes an unordered set of throughput values, treats distance as
-plain Euclidean distance on the scalar values, and is deterministic given
-(data, parameters, seed).
+plain Euclidean distance on the scalar values, and draws no random numbers:
+its result is a function of (data, parameters).
 """
 
 from .affinity import affinity_propagation

@@ -31,18 +31,18 @@ class GmmModel:
 
 
 def gmm_fit(data, n_components: int, *, max_iter: int = 200, tol: float = 1e-7, seed: int = 0) -> GmmModel:
-    """EM fit initialized from seeded k-means centroids.
+    """EM fit initialized from the centroids of ``kmeans(data, n_components)``.
 
     The log-likelihood trace is non-decreasing (within float tolerance) and
     iteration stops once it moves by less than ``tol``.  Variances are
     floored at 1e-6 * range^2 + 1e-12 so near-constant data cannot collapse
-    a component.
+    a component.  ``seed`` is unused: the fit draws no random numbers.
     """
     x = as_values(data, name="data")
     m = check_count(n_components, "n_components", minimum=1)
     if m > x.size:
         raise ValueError(f"n_components={m} exceeds the {x.size} data points")
-    return gmm_em(x, m, kmeans(x, m, seed=seed).centroids, max_iter=max_iter, tol=tol)
+    return gmm_em(x, m, kmeans(x, m).centroids, max_iter=max_iter, tol=tol)
 
 
 def gmm_em(x: np.ndarray, m: int, centroids, *, max_iter: int = 200, tol: float = 1e-7) -> GmmModel:
@@ -95,9 +95,7 @@ def gmm_assign(model: GmmModel, data) -> ClusterResult:
     lower index); centroids are the used components' means."""
     x = as_values(data, name="data")
     picks = gmm_responsibilities(model, x).argmax(axis=1)
-    present = np.unique(picks)
-    remap = {int(old): new for new, old in enumerate(present)}
-    labels = np.array([remap[int(p)] for p in picks])
+    present, labels = np.unique(picks, return_inverse=True)
     return ClusterResult(
         labels=labels,
         n_clusters=int(present.size),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import as_values, check_count
-from .kmeans import fit_result, kmeans, lloyd
+from .kmeans import from_partition, partitions
 from .result import ClusterResult
 
 __all__ = ["silhouette", "best_k_silhouette"]
@@ -28,12 +28,12 @@ def silhouette(data, labels) -> float:
     if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     order = np.argsort(x, kind="stable")
-    return float(_silhouettes(x[order], order, inverse[None, :])[0])
+    return float(_silhouettes(x[order], order, inverse[order][None, :])[0])
 
 
 def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np.ndarray:
-    """Silhouette of each row of ``labelings``, a labeling of ``x`` into at
-    least 2 clusters, given the sorted values ``xs = x[order]``.
+    """Silhouette of each row of ``labelings``, a compact labeling of the
+    sorted values ``xs = x[order]`` into at least 2 clusters.
 
     For any y, the sum of |y - v| over a cluster's sorted members v is
     y*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < y) and pre the
@@ -52,13 +52,9 @@ def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np
     after = pos + 1
     cells = pos + (n + 1) * np.arange(int(labelings.max()) + 1)[:, None]  # (cluster, point) in pre
     # The dels below keep at most four (k, n) arrays alive at once: this loop
-    # and the Lloyd loop set the search's peak memory.
-    for i, labels in enumerate(labelings):
-        own = labels[order]
+    # and the k-means program set the search's peak memory.
+    for i, own in enumerate(labelings):
         size = np.bincount(own)
-        if not size.all():  # compact away empty clusters
-            own = (np.cumsum(size > 0) - 1)[own]
-            size = size[size > 0]
         k = size.size
         grouped = own.argsort(kind="stable")  # members cluster by cluster, ascending
         starts = size.cumsum() - size
@@ -104,48 +100,43 @@ def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np
 
 
 def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> int:
-    """Cluster count maximizing the silhouette of a seeded k-means fit.
+    """Cluster count maximizing the silhouette of the optimal k-means partition.
 
     Ties break toward the smaller k.  Data with fewer than 3 distinct values
-    short-circuits to the number of distinct values (at least 1).
+    short-circuits to the number of distinct values (at least 1).  ``seed``
+    is unused: the search draws no random numbers.
     """
-    return _search(as_values(data, name="data"), k_min, k_max, seed)[0]
+    return _search(as_values(data, name="data"), k_min, k_max)[0]
 
 
 def best_k_fit(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> tuple[int, ClusterResult]:
-    """``best_k_silhouette`` and the fit ``kmeans(data, k, seed=seed)`` of the
-    chosen k, taken from the search instead of fitted again."""
+    """``best_k_silhouette`` and the fit ``kmeans(data, k)`` of the chosen k,
+    taken from the search instead of fitted again.  ``seed`` is unused."""
     x = as_values(data, name="data")
-    k, labels, history = _search(x, k_min, k_max, seed)
-    return k, kmeans(x, k, seed=seed) if labels is None else fit_result(x, labels, history)
+    k, labels = _search(x, k_min, k_max)
+    return k, from_partition(x, labels)
 
 
-def _search(x: np.ndarray, k_min: int, k_max: int, seed: int):
-    """(best k, its raw k-means labels, its inertia trace); the labels and
-    trace are None when the choice needed no fit.
+def _search(x: np.ndarray, k_min: int, k_max: int):
+    """(best k, its k-means labels).
 
-    All candidates are fitted together by one batched Lloyd loop and scored
-    from one sort of the data.
+    One run of ``partitions`` gives every candidate's partition, and all of
+    them are scored from one sort of the data.
     """
     check_count(k_min, "k_min", minimum=2)
     check_count(k_max, "k_max", minimum=2)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
-    if distinct < 3:
-        return max(1, distinct), None, None
     lo = max(2, k_min)
     hi = min(k_max, x.size - 1, distinct)
-    if hi < lo:
-        return min(lo, distinct), None, None
-    ks = range(lo, hi + 1)
-    labels, histories = lloyd(x, ks, seed=seed)
-    spread = labels.min(axis=1) < labels.max(axis=1)  # only fits of 2+ clusters are scored
-    scored = spread.nonzero()[0].tolist()
+    if distinct < 3 or hi < lo:  # a single candidate, left unscored
+        lo = hi = min(lo, distinct)
+    candidates = partitions(xs, lo, hi)
     best, best_score = 0, -2.0
-    if scored:
-        scores = _silhouettes(xs, order, labels if spread.all() else labels[scored])
-        for c, score in zip(scored, scores.tolist()):
-            if score > best_score + 1e-12:
-                best, best_score = c, score
-    return ks[best], labels[best], histories[best]
+    for c, score in enumerate(_silhouettes(xs, order, candidates).tolist() if hi > lo else ()):
+        if score > best_score + 1e-12:
+            best, best_score = c, score
+    labels = np.empty(x.size, dtype=np.intp)
+    labels[order] = candidates[best]
+    return lo + best, labels

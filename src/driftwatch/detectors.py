@@ -112,6 +112,8 @@ class DriftDetector:
     (drift iff k_test > ceil(ap_multiplier * k_train)), and
     ``ap_preference_override`` replaces the automatic preference (the lowest
     pairwise similarity of the training batch, i.e. -(train range)^2).
+    ``seed`` is accepted and kept with the other parameters, but no model
+    draws random numbers: every fit and verdict is a function of the data.
     """
 
     def __init__(
@@ -263,7 +265,7 @@ def _gap_rule(centres, memory) -> Rule:
 
     def max_gap(det, x):
         check_count(det.k_max, "k_max", minimum=2)
-        k, fit = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)), seed=det.seed)
+        k, fit = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)))
         ordered = np.sort(centres(x, k, fit.centroids))
         return k, (float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0)
 

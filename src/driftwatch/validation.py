@@ -19,7 +19,7 @@ def as_values(x: Any, *, name: str = "data", min_len: int = 1) -> np.ndarray:
     arr = np.asarray(raw, dtype=float).ravel()
     if arr.size < min_len:
         raise ValueError(f"{name} needs at least {min_len} value(s), got {arr.size}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 

@@ -114,55 +114,58 @@ def optics_reference(
     return np.array(order), reach, labels
 
 
-def kmeans_reference(x, k: int, *, max_iter: int = 100, tol: float = 1e-9, seed: int = 0):
-    """One seeded Lloyd fit per call, as kmeans ran before its candidates were
-    batched: its own k-means++ draw and one (n, k) distance matrix per
-    iteration.  Returns (raw labels, centers, inertia history, re-seat count)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    rng = np.random.default_rng(seed)
-    centers = np.empty(k)
-    centers[0] = x[rng.integers(n)]
-    d2 = (x - centers[0]) ** 2
-    for j in range(1, k):
-        total = d2.sum()
-        pick = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
-        centers[j] = x[pick]
-        np.minimum(d2, (x - centers[j]) ** 2, out=d2)
-    scale = max(float(np.ptp(x)), 1e-300)
-    idx = np.arange(n)
-    history: list[float] = []
+def kmeans_brute_force(x, k: int) -> tuple[float, np.ndarray]:
+    """Least k-means cost over every way to cut the sorted points into k
+    contiguous runs, each cost summed directly around its run's mean.
+    Returns (cost, labels of the sorted points)."""
+    xs = sorted(float(v) for v in x)
+    n = len(xs)
+    best, best_cuts = math.inf, ()
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        bounds = (0, *cuts, n)
+        cost = 0.0
+        for a, b in zip(bounds, bounds[1:]):
+            mu = sum(xs[a:b]) / (b - a)
+            cost += sum((v - mu) ** 2 for v in xs[a:b])
+        if cost < best:
+            best, best_cuts = cost, cuts
     labels = np.zeros(n, dtype=int)
-    prev_labels = None
-    reseats = 0
+    for cut in best_cuts:
+        labels[cut:] += 1
+    return best, labels
 
-    for _ in range(max_iter):
-        d2 = (x[:, None] - centers[None, :]) ** 2
-        labels = d2.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] == 0:
-                reseats += 1
-                worst = int(d2[idx, labels].argmax())
-                centers[j] = x[worst]
-                d2[:, j] = (x - centers[j]) ** 2
-                labels = d2.argmin(axis=1)
-                labels[worst] = j
-                counts = np.bincount(labels, minlength=k)
-        history.append(float(d2[idx, labels].sum()))
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
-        prev_labels = labels
-        sums = np.bincount(labels, weights=x, minlength=k)
-        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
-        shift = float(np.abs(new_centers - centers).max())
-        centers = new_centers
-        if shift <= tol * scale:
-            d2 = (x[:, None] - centers[None, :]) ** 2
-            labels = d2.argmin(axis=1)
-            history.append(float(d2[idx, labels].sum()))
-            break
-    return labels, centers, history, reseats
+
+def kmeans_dense_dp(x, k_max: int) -> tuple[list[float], list[np.ndarray]]:
+    """Optimal k-means costs and partitions for k = 1..k_max by the dense
+    O(k n^2) program over the sorted points (not the distinct values).
+    Each run's cost is taken around that run's own first point, so no
+    shared shift or weighting is involved.  Returns (costs, labels of the
+    sorted points), one entry per k."""
+    xs = np.sort(np.asarray(x, dtype=float))
+    n = xs.size
+    cost = np.full((n + 1, n + 1), np.inf)  # cost[i, j]: the run xs[i:j]
+    for i in range(n):
+        d = xs[i:] - xs[i]
+        m = np.arange(1, n - i + 1)
+        s1, s2 = np.cumsum(d), np.cumsum(d * d)
+        cost[i, i + 1 :] = np.maximum(s2 - s1 * s1 / m, 0.0)
+    best = cost[0].copy()
+    splits = [np.zeros(n + 1, dtype=int)]
+    costs = [float(best[n])]
+    for _ in range(2, k_max + 1):
+        total = best[:, None] + cost
+        splits.append(total.argmin(axis=0))
+        best = total.min(axis=0)
+        costs.append(float(best[n]))
+    partitions = []
+    for k in range(1, k_max + 1):
+        labels = np.zeros(n, dtype=int)
+        j = n
+        for level in range(k, 1, -1):
+            j = int(splits[level - 1][j])
+            labels[j:] += 1
+        partitions.append(labels)
+    return costs, partitions
 
 
 def silhouette_reference(x, labels) -> float:

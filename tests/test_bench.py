@@ -33,7 +33,7 @@ from driftwatch.scenario import (
     generate,
     preset_qos,
 )
-from driftwatch.telemetry import batchify
+from driftwatch.telemetry import batchify, concat_values
 
 
 def lifecycle_spec(seed=0):
@@ -267,6 +267,18 @@ class TestMemoryAccounting:
         _, _, peak, basis = _measure(lambda: det.fit(x))
         assert basis == "measured"
         assert 0.5 <= peak / memory_estimate(model, n) <= 2.0, (peak, memory_estimate(model, n))
+
+    @pytest.mark.parametrize("model", ["kmeans", "gmm"])
+    def test_training_window_fit_is_within_2x_of_the_estimate(self, model):
+        # the bench's training shape: five 18-point batches of one fulfillment mode
+        series, truth = generate(preset_qos())
+        batches = batchify(series, 9.0, 9.0)
+        x = concat_values(batches[i] for i in training_window(batches, truth, 5))
+        assert x.size == 90
+        det = DriftDetector(model)
+        _, _, peak, basis = _measure(lambda: det.fit(x))
+        assert basis == "measured"
+        assert peak <= 2 * memory_estimate(model, x.size), (peak, memory_estimate(model, x.size))
 
 
 class TestCompareModels:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from driftwatch.cluster import best_k_silhouette, kmeans, silhouette
-from driftwatch.cluster.kmeans import _plus_plus_init, lloyd
+from driftwatch.cluster.kmeans import partitions
 from driftwatch.cluster.silhouette import best_k_fit
 
 from oracles import (
     best_two_partition,
     canonical,
-    kmeans_reference,
+    kmeans_brute_force,
+    kmeans_dense_dp,
     mixture_data,
     silhouette_reference,
 )
@@ -52,12 +53,13 @@ class TestKmeans:
             res = kmeans(data, k, seed=trial)
             diffs = np.diff(res.inertia_history)
             assert np.all(diffs <= 1e-9 * max(1.0, res.inertia_history[0]))
+            assert res.inertia_history == (res.inertia,)
 
     def test_final_assignment_is_fixed_point(self):
         rng = np.random.default_rng(5)
         for trial in range(20):
             data = mixture_data(rng, 40)
-            res = kmeans(data, 3, max_iter=500, seed=trial)
+            res = kmeans(data, 3, seed=trial)
             d = np.abs(data[:, None] - res.centroids[None, :])
             assert np.array_equal(d.argmin(axis=1), res.labels)
             for j in range(res.n_clusters):
@@ -75,6 +77,26 @@ class TestKmeans:
         assert res.n_clusters in (1, 2)
         assert set(res.labels) == set(range(res.n_clusters))
 
+    def test_more_clusters_than_distinct_values(self):
+        # k above the distinct count gives one cluster per distinct value
+        data = [7.0, 1.0, 2.0, 1.0, 2.0, 2.0]
+        for k in (3, 4, 6):
+            res = kmeans(data, k)
+            assert res.n_clusters == 3
+            assert res.labels.tolist() == [2, 0, 1, 0, 1, 1]
+            assert res.centroids.tolist() == [1.0, 2.0, 7.0]
+            assert res.inertia == 0.0
+        assert kmeans([4.0, 4.0, 4.0, 4.0], 2).n_clusters == 1
+
+    def test_equal_values_share_a_label(self):
+        for n in (18, 90):
+            for name, data in families(n, 4):
+                values, inverse = np.unique(data, return_inverse=True)
+                for k in (2, 3, 5, 8):
+                    labels = kmeans(data, k).labels
+                    for j in range(values.size):
+                        assert np.unique(labels[inverse == j]).size == 1, (name, k)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             kmeans([1, 2, 3], 0)
@@ -89,6 +111,10 @@ class TestKmeans:
         b = kmeans(data, 4, seed=17)
         assert np.array_equal(a.labels, b.labels)
         assert a.inertia == b.inertia
+        # the fit draws no random numbers, so the seed changes nothing
+        c = kmeans(data, 4, seed=3)
+        assert np.array_equal(a.labels, c.labels)
+        assert a.inertia == c.inertia
 
 
 class TestSilhouette:
@@ -133,15 +159,15 @@ class TestSilhouette:
 
 class TestSilhouetteSearch:
     @staticmethod
-    def reference_best_k(data, k_max=8, seed=0):
-        """The best_k_silhouette search, scored by the loop oracle."""
+    def reference_best_k(data, k_max=8):
+        """The best_k_silhouette search over the dense-program partitions,
+        scored by the loop oracle."""
+        xs = np.sort(data)
         best_k, best_score = 2, -2.0
-        for k in range(2, min(k_max, data.size - 1, np.unique(data).size) + 1):
-            labels = kmeans_reference(data, k, seed=seed)[0]
-            if np.unique(labels).size < 2:
-                continue
-            score = silhouette_reference(data, labels)
-            assert silhouette(data, labels) == pytest.approx(score, abs=1e-12)
+        hi = min(k_max, data.size - 1, np.unique(data).size)
+        for k, labels in enumerate(kmeans_dense_dp(xs, hi)[1][1:], start=2):
+            score = silhouette_reference(xs, labels)
+            assert silhouette(xs, labels) == pytest.approx(score, abs=1e-12)
             if score > best_score + 1e-12:
                 best_k, best_score = k, score
         return best_k
@@ -152,7 +178,7 @@ class TestSilhouetteSearch:
         rng = np.random.default_rng(n)
         for seed in range(trials):
             data = mixture_data(rng, n) + shift
-            assert best_k_silhouette(data, 2, 8, seed=seed) == self.reference_best_k(data, seed=seed)
+            assert best_k_silhouette(data, 2, 8, seed=seed) == self.reference_best_k(data)
 
 
 class TestBestK:
@@ -189,43 +215,47 @@ class TestBestK:
 
 
 class TestBatchedLloyd:
-    """Every candidate of the batched loop equals one fit of its k alone, as
-    the per-k loop in ``oracles.kmeans_reference`` runs it."""
+    """The exact program against the oracles: brute force over contiguous
+    partitions, and the dense O(k n^2) program.  (The class keeps the name it
+    had when the search batched Lloyd's loop, so its test ids stay stable.)"""
+
+    def test_brute_force_over_contiguous_partitions(self):
+        # the duplicates family puts k above the distinct count as k nears n
+        for n in range(1, 13):
+            for name, data in families(n, 3):
+                xs = np.sort(data)
+                rows = partitions(xs, 1, n)
+                for k in range(1, n + 1):
+                    expected, _ = kmeans_brute_force(xs, k)
+                    res = kmeans(data, k)
+                    assert res.inertia == pytest.approx(expected, rel=1e-9, abs=1e-9), (name, n, k)
+                    # each row is the sorted-order labelling of the same optimum
+                    assert np.all(np.diff(rows[k - 1]) >= 0)
+                    assert np.array_equal(rows[k - 1], np.sort(res.labels)), (name, n, k)
 
     @pytest.mark.parametrize("n, count", [(18, 8), (90, 4), (500, 1)])
     def test_candidates_match_one_fit_per_k(self, n, count):
-        reseats = {"random": 0, "mixture": 0, "duplicates": 0}
-        for i, (name, data) in enumerate(families(n, count)):
-            seed = i % 5
-            ks = list(range(2, min(8, n) + 1))
-            labels, histories = lloyd(data, ks, seed=seed)
-            for row, k in enumerate(ks):
-                ref_labels, _, ref_history, ref_reseats = kmeans_reference(data, k, seed=seed)
-                assert np.array_equal(labels[row], ref_labels), (name, k, seed)
-                assert histories[row] == ref_history, (name, k, seed)
-                reseats[name] += ref_reseats
-        # duplicate-heavy data with more clusters than values forces re-seats
-        assert reseats["duplicates"] > 0
+        for name, data in families(n, count):
+            order = np.argsort(data, kind="stable")
+            rows = partitions(data[order], 2, 8)
+            costs, _ = kmeans_dense_dp(data, 8)
+            for row, k in zip(rows, range(2, 9)):
+                res = kmeans(data, k)
+                assert np.array_equal(row, res.labels[order]), (name, k)
+                expected = costs[min(k, np.unique(data).size) - 1]
+                assert res.inertia == pytest.approx(expected, rel=1e-9, abs=1e-9), (name, k)
 
     @pytest.mark.parametrize("n, count", [(18, 8), (90, 4), (500, 1)])
     def test_kmeans_matches_reference(self, n, count):
         for i, (name, data) in enumerate(families(n, count)):
+            costs, _ = kmeans_dense_dp(data, 8)
             for k in (1, 3, 8):
                 res = kmeans(data, k, seed=i)
-                ref_labels, _, ref_history, _ = kmeans_reference(data, k, seed=i)
-                present, compact = np.unique(ref_labels, return_inverse=True)
-                centroids = np.array([data[compact == j].mean() for j in range(present.size)])
-                assert np.array_equal(res.labels, compact), (name, k)
+                centroids = np.array([data[res.labels == j].mean() for j in range(res.n_clusters)])
+                assert res.n_clusters == min(k, np.unique(data).size), (name, k)
                 assert np.array_equal(res.centroids, centroids), (name, k)
-                assert res.inertia_history == tuple(ref_history)
-
-    def test_seeds_for_k_are_the_first_k_drawn_for_k_max(self):
-        for _, data in families(18, 6):
-            for seed in range(5):
-                longest = _plus_plus_init(data, 8, np.random.default_rng(seed))
-                for k in range(1, 8):
-                    seeds = _plus_plus_init(data, k, np.random.default_rng(seed))
-                    assert np.array_equal(seeds, longest[:k])
+                assert res.inertia == pytest.approx(costs[res.n_clusters - 1], rel=1e-9, abs=1e-9)
+                assert res.inertia_history == (res.inertia,)
 
     def test_search_fit_is_the_kmeans_fit_of_the_chosen_k(self):
         for i, (_, data) in enumerate(families(18, 6)):

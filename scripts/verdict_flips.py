@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Count the verdicts that differ between two checkouts, model by model.
 
-Each checkout runs ``bench.run_scenario`` on both presets for seeds 0-14
-(the runs of ``driftwatch bench --presets all --reps 15 --seed 0``) in its
-own interpreter, with ``PYTHONPATH=<tree>/src``; the two run side by side:
+Each checkout runs the bench protocol on both presets for seeds 0-14 (the
+runs of ``driftwatch bench --presets all --reps 15 --seed 0``) in its own
+interpreter, with ``PYTHONPATH=<tree>/src``; the two run side by side.
+Only verdicts are compared, so no record is replayed under allocation
+tracing:
 
     python3 scripts/verdict_flips.py --parent PARENT_TREE --change CHANGE_TREE
 
@@ -37,26 +39,37 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
+def scenario_records(preset: str, seed: int, names) -> dict:
+    """{model: records} of one bench run, as ``bench.run_scenario`` gives them
+    but with no record replayed under allocation tracing (``allocated_bytes``
+    is 0 throughout)."""
+    from driftwatch.bench import BenchProtocol, _run_scenario
+    from driftwatch.detectors import DriftDetector
+    from driftwatch.scenario import PRESETS
+
+    by_model, _, _, _ = _run_scenario(PRESETS[preset]().with_seed(seed),
+                                      {name: DriftDetector(name) for name in names},
+                                      BenchProtocol(), traced_records=0)
+    return by_model
+
+
 def collect(models: str, seeds: int) -> dict:
     """{run: {model: {"drift": [...], "accuracy": a, "fpr": f}}} from the
     driftwatch on this interpreter's path, one run per preset and seed."""
-    from driftwatch.bench import accuracy, false_positive_rate, run_scenario
-    from driftwatch.detectors import MODEL_NAMES, DriftDetector
+    from driftwatch.bench import accuracy, false_positive_rate
+    from driftwatch.detectors import MODEL_NAMES
     from driftwatch.scenario import PRESETS
 
     names = MODEL_NAMES if models == "all" else tuple(m.strip() for m in models.split(","))
-    runs = {}
-    for preset in sorted(PRESETS):
-        for seed in range(seeds):
-            records = run_scenario(PRESETS[preset]().with_seed(seed),
-                                   {name: DriftDetector(name) for name in names})
-            runs[f"{preset}/{seed}"] = {
-                name: {"drift": [r.verdict.drift for r in mine],
-                       "accuracy": accuracy(mine), "fpr": false_positive_rate(mine)}
-                for name in names
-                for mine in [[r for r in records if r.model.value == name]]
-            }
-    return runs
+    return {
+        f"{preset}/{seed}": {
+            name: {"drift": [r.verdict.drift for r in mine],
+                   "accuracy": accuracy(mine), "fpr": false_positive_rate(mine)}
+            for name, mine in scenario_records(preset, seed, names).items()
+        }
+        for preset in sorted(PRESETS)
+        for seed in range(seeds)
+    }
 
 
 def verdicts(trees: list[Path], models: str, seeds: int) -> list[dict]:

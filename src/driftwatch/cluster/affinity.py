@@ -6,6 +6,17 @@ availability messages are exchanged with damping until the exemplar set
 stays unchanged for ``convergence_iter`` sweeps.  A run that never
 stabilizes on at least one exemplar reports zero clusters with every point
 marked noise rather than inventing a partition.
+
+The messages live in four N x N matrices: similarity S, responsibility R,
+availability A and one scratch buffer T.  Both updates work row by row
+except for the column sums of T, so each pass walks blocks of ``BLOCK``
+entries (whole rows) and does all its work on a block while the block's rows
+of S, R, A and T are in cache.  One pass finishes one iteration's
+availabilities and starts the next iteration's responsibilities on the same
+block; the column sums between them are one ``T.sum(axis=0)`` over the whole
+of T (numpy adds its rows in order; summing per block would round
+differently).  Blocking changes no value: every entry goes through the same
+float operations in the same order as in an unblocked sweep.
 """
 
 from __future__ import annotations
@@ -16,6 +27,9 @@ from ..validation import as_values, check_count
 from .result import NOISE, from_labels
 
 __all__ = ["affinity_propagation"]
+
+#: Matrix entries per block of rows: 256 KiB a matrix, 1 MiB for the four.
+BLOCK = 32_768
 
 
 def affinity_propagation(
@@ -34,53 +48,8 @@ def affinity_propagation(
     if n == 1:
         return from_labels(x, np.zeros(1, dtype=int))
 
-    S = -((x[:, None] - x[None, :]) ** 2)
-    if preference is None:
-        off = ~np.eye(n, dtype=bool)
-        preference = float(S[off].min())
-    diag = np.arange(n)
-    S[diag, diag] = preference
-    # Deterministic degeneracy breaker: earlier points get an infinitesimally
-    # higher self-preference, so exact ties elect the lowest index.
-    S[diag, diag] -= diag * 1e-9 * max(1.0, float(np.abs(S).max()))
-
-    # Messages are updated in place; T is the one scratch N x N buffer.
-    R = np.zeros((n, n))
-    A = np.zeros((n, n))
-    T = np.empty((n, n))
-    stable = 0
-    exemplars = np.zeros(n, dtype=bool)
-    converged = False
-
-    for _ in range(max_iter):
-        np.add(A, S, out=T)
-        top = T.argmax(axis=1)
-        first = T[diag, top]
-        T[diag, top] = -np.inf
-        second = T.max(axis=1)
-        np.subtract(S, first[:, None], out=T)
-        T[diag, top] = S[diag, top] - second
-        _damp(R, T, damping)
-
-        np.maximum(R, 0.0, out=T)
-        T[diag, diag] = R[diag, diag]
-        colsum = T.sum(axis=0)
-        np.subtract(colsum[None, :], T, out=T)
-        np.minimum(0.0, T, out=T)
-        T[diag, diag] = colsum - R[diag, diag]
-        _damp(A, T, damping)
-
-        current = A[diag, diag] + R[diag, diag] > 0
-        if np.array_equal(current, exemplars):
-            stable += 1
-            if stable >= convergence_iter and current.any():
-                converged = True
-                break
-        else:
-            stable = 0
-            exemplars = current
-
-    if not converged or not exemplars.any():
+    exemplars, _ = _pass_messages(_similarity(x, preference), damping, max_iter, convergence_iter)
+    if exemplars is None:
         return from_labels(x, np.full(n, NOISE, dtype=int))
 
     centers = np.nonzero(exemplars)[0]
@@ -89,8 +58,88 @@ def affinity_propagation(
     return from_labels(x, labels)
 
 
-def _damp(M: np.ndarray, new: np.ndarray, damping: float) -> None:
-    """M <- damping * M + (1 - damping) * new, in place; ``new`` is clobbered."""
-    M *= damping
-    new *= 1.0 - damping
-    M += new
+def _similarity(x: np.ndarray, preference: float | None) -> np.ndarray:
+    """S: negative squared distances, the preference on the diagonal."""
+    n = x.size
+    S = -((x[:, None] - x[None, :]) ** 2)
+    # The largest off-diagonal |S| is the squared range: rounding a
+    # difference and squaring it are both monotone.
+    spread = float(np.ptp(x)) ** 2
+    if preference is None:
+        preference = -spread  # the lowest off-diagonal similarity
+    # Deterministic degeneracy breaker: earlier points get an infinitesimally
+    # higher self-preference, so exact ties elect the lowest index.
+    scale = max(1.0, spread, abs(preference))
+    diag = np.arange(n)
+    S.reshape(-1)[diag * (n + 1)] = preference - diag * 1e-9 * scale
+    return S
+
+
+def _pass_messages(S: np.ndarray, damping: float, max_iter: int, convergence_iter: int):
+    """Exchange messages on S.  Returns the exemplar mask once it has held
+    for ``convergence_iter`` iterations with at least one exemplar (None if
+    it never does within ``max_iter``), and the last availabilities."""
+    n = S.shape[0]
+    flat_diag = np.arange(n) * (n + 1)
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
+    T = np.empty((n, n))
+    height = max(1, BLOCK // n)
+    # Per block: its rows of S, R, A and T, flat views of them, the rows, each
+    # row's first entry in the flat views and the rows' diagonal entries there.
+    blocks = []
+    for lo in range(0, n, height):
+        rows = slice(lo, min(lo + height, n))
+        h = rows.stop - lo
+        views = [M[rows] for M in (S, R, A, T)]
+        blocks.append((*views, *(v.reshape(-1) for v in views), rows,
+                       np.arange(0, h * n, n), flat_diag[:h] + lo))
+    keep = 1.0 - damping
+    votes = np.empty(n)  # A + R on the diagonal; positive marks an exemplar
+    colsum = None
+    stable = 0
+    seen = bytes(n)  # the exemplar mask as bytes: none yet
+
+    # Pass p completes iteration p's availabilities (p >= 1) and computes
+    # iteration p + 1's responsibilities (p < max_iter).
+    for sweep in range(max_iter + 1):
+        for Sb, Rb, Ab, Tb, Sf, Rf, Af, Tf, rows, starts, own in blocks:
+            if colsum is not None:
+                # T holds max(R, 0) with R's own diagonal; A <- damped
+                # min(0, colsum - T), the diagonal colsum - R.
+                np.subtract(colsum, Tb, out=Tb)
+                np.minimum(0.0, Tb, out=Tb)
+                Tf[own] = colsum[rows] - Rf[own]
+                Ab *= damping
+                Tb *= keep
+                Ab += Tb
+                votes[rows] = Af[own] + Rf[own]
+            if sweep == max_iter:
+                continue
+            # R <- damped S minus the best rival A + S in the row: the row's
+            # top entry, except at the top itself, which faces the runner-up.
+            np.add(Ab, Sb, out=Tb)
+            top = Tb.argmax(axis=1)
+            top += starts
+            first = Tf[top]
+            Tf[top] = -np.inf
+            second = Tb.max(axis=1)
+            np.subtract(Sb, first[:, None], out=Tb)
+            Tf[top] = Sf[top] - second
+            Rb *= damping
+            Tb *= keep
+            Rb += Tb
+            np.maximum(Rb, 0.0, out=Tb)
+            Tf[own] = Rf[own]
+        if colsum is not None:
+            current = votes > 0
+            key = current.tobytes()
+            if key == seen:
+                stable += 1
+                if stable >= convergence_iter and current.any():
+                    return current, A
+            else:
+                stable = 0
+                seen = key
+        colsum = T.sum(axis=0)
+    return None, A

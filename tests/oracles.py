@@ -303,9 +303,133 @@ def affinity_reference(
     return canonical(labels)
 
 
+def capture_data(seed: int, n: int = 500) -> np.ndarray:
+    """The first n samples of a qos fulfillment-phase capture at the preset's
+    sample rate, the training input of a capture-scale ``detect``."""
+    from dataclasses import replace
+
+    from driftwatch.scenario import ScenarioSpec, generate, preset_qos
+
+    qos = preset_qos()
+    phase = replace(qos.phases[1], duration=n * qos.sample_period)
+    series, _ = generate(ScenarioSpec("capture", (phase,), sample_period=qos.sample_period, seed=seed))
+    return series.values()[:n]
+
+
 def mixture_data(rng: np.random.Generator, n: int, max_modes: int = 3) -> np.ndarray:
     """Random 1-D mixture used across randomized tests."""
     modes = rng.integers(1, max_modes + 1)
     centers = rng.uniform(0.0, 100.0, modes)
     spread = rng.uniform(0.2, 5.0)
     return centers[rng.integers(0, modes, n)] + rng.normal(0.0, spread, n)
+
+
+def _labels_and_centroids(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    k = int(labels.max()) + 1 if (labels != NOISE).any() else 0
+    return labels, np.array([x[labels == j].mean() for j in range(k)])
+
+
+def affinity_matrix_messages(
+    x, preference: float | None = None, damping: float = 0.9, max_iter: int = 500, convergence_iter: int = 15
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Affinity propagation with whole-matrix updates: every sweep runs over
+    all of S, R and A at once, the default preference is read off the masked
+    off-diagonal similarities and the tie-breaking scale off the whole of
+    |S|.  Float for float the engine's arithmetic.  Returns (S, the exemplar
+    mask or None when the run does not converge, the last availabilities)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    S = -((x[:, None] - x[None, :]) ** 2)
+    if preference is None:
+        preference = float(S[~np.eye(n, dtype=bool)].min())
+    diag = np.arange(n)
+    S[diag, diag] = preference
+    S[diag, diag] -= diag * 1e-9 * max(1.0, float(np.abs(S).max()))
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
+    stable = 0
+    exemplars = np.zeros(n, dtype=bool)
+    for _ in range(max_iter):
+        T = A + S
+        top = T.argmax(axis=1)
+        first = T[diag, top]
+        T[diag, top] = -np.inf
+        second = T.max(axis=1)
+        new = S - first[:, None]
+        new[diag, top] = S[diag, top] - second
+        R = damping * R + (1.0 - damping) * new
+
+        pos = np.maximum(R, 0.0)
+        pos[diag, diag] = R[diag, diag]
+        colsum = pos.sum(axis=0)
+        new = np.minimum(0.0, colsum[None, :] - pos)
+        new[diag, diag] = colsum - R[diag, diag]
+        A = damping * A + (1.0 - damping) * new
+
+        current = A[diag, diag] + R[diag, diag] > 0
+        if np.array_equal(current, exemplars):
+            stable += 1
+            if stable >= convergence_iter and current.any():
+                return S, current, A
+        else:
+            stable = 0
+            exemplars = current
+    return S, None, A
+
+
+def affinity_matrix_reference(x, preference: float | None = None, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, centroids) from ``affinity_matrix_messages``; all points are
+    noise when the run does not converge."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n == 1:
+        return _labels_and_centroids(x, np.zeros(1, dtype=int))
+    _, exemplars, _ = affinity_matrix_messages(x, preference, **kwargs)
+    if exemplars is None:
+        return _labels_and_centroids(x, np.full(n, NOISE, dtype=int))
+    centers = np.nonzero(exemplars)[0]
+    labels = np.abs(x[:, None] - x[centers][None, :]).argmin(axis=1)
+    labels[centers] = np.arange(centers.size)
+    return _labels_and_centroids(x, labels)
+
+
+def agglomerative_matrix_reference(x, threshold: float, linkage: str):
+    """Agglomerative clustering by an exhaustive search of the Lance-Williams
+    matrix: each merge takes the row-major argmin over all N x N entries,
+    with merged-away rows and columns set to inf.  Same updates as the
+    engine.  Returns (labels numbered by lowest member, centroids, merges as
+    (kept slot, merged-away slot, distance))."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    dist = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(dist, math.inf)
+    alive = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=int)
+    members: list[list[int]] = [[i] for i in range(n)]
+    merges = []
+    while alive.sum() > 1:
+        i, j = divmod(int(np.argmin(dist)), n)  # row-major: lowest (row, column) among ties
+        if dist[i, j] > threshold:
+            break
+        if j < i:
+            i, j = j, i
+        merges.append((i, j, float(dist[i, j])))
+        others = alive.copy()
+        others[i] = others[j] = False
+        if linkage == "single":
+            merged = np.minimum(dist[i], dist[j])
+        elif linkage == "complete":
+            merged = np.maximum(dist[i], dist[j])
+        else:
+            merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[i, :] = np.where(others, merged, math.inf)
+        dist[:, i] = dist[i, :]
+        dist[j, :] = math.inf
+        dist[:, j] = math.inf
+        sizes[i] += sizes[j]
+        members[i].extend(members[j])
+        alive[j] = False
+    labels = np.empty(n, dtype=int)
+    for label, slot in enumerate(np.nonzero(alive)[0]):
+        labels[members[slot]] = label
+    return (*_labels_and_centroids(x, labels), merges)

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from driftwatch.cluster import agglomerative
+from driftwatch.cluster.hierarchy import _merge
 
-from oracles import agglomerative_reference, canonical, mixture_data
+from oracles import (
+    agglomerative_matrix_reference,
+    agglomerative_reference,
+    canonical,
+    capture_data,
+    mixture_data,
+)
 
 
 class TestAgglomerativeExamples:
@@ -25,6 +34,11 @@ class TestAgglomerativeExamples:
         # merging continues while the minimum distance does not exceed the threshold
         res = agglomerative([0.0, 1.0], distance_threshold=1.0, linkage="single")
         assert res.n_clusters == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_distances_merge_under_an_infinite_threshold(self):
+        for data in ([-1e308, 1e308], [-1e308, 1e308, -1e308, 1e308]):
+            assert agglomerative(data, math.inf, "single").n_clusters == 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -59,6 +73,39 @@ class TestAgglomerativeProperties:
         base = agglomerative(data, 3.0, "average")
         shifted = agglomerative(data + 250.0, 3.0, "average")
         assert np.array_equal(base.labels, shifted.labels)
+
+
+def assert_same_as_exhaustive(x, threshold, linkage):
+    labels, centroids, merges = agglomerative_matrix_reference(x, threshold, linkage)
+    mine = agglomerative(x, threshold, linkage)
+    assert np.array_equal(mine.labels, labels)
+    assert np.array_equal(mine.centroids, centroids)
+    assert _merge(x, threshold, linkage)[1] == merges  # same pairs, same distances to the bit
+
+
+class TestMatrixOracle:
+    """The adjacent-gap search picks the pair the exhaustive matrix argmin
+    picks, ties included, and merges it at the same Lance-Williams distance,
+    so labels and centroids match it exactly."""
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    @pytest.mark.parametrize("decimals", [None, 0, 1, 2])
+    def test_matches_exhaustive_search(self, linkage, decimals):
+        rng = np.random.default_rng(51 if decimals is None else 52 + decimals)
+        for trial in range(60):
+            n = int(rng.integers(1, 60))
+            if decimals is None:
+                x = mixture_data(rng, n)
+            else:  # duplicate-heavy: few distinct values, many exact ties
+                x = np.round(rng.uniform(0.0, 5.0, n), decimals)
+            threshold = float(rng.uniform(0.01, 2.0) * max(float(np.ptp(x)), 1.0))
+            assert_same_as_exhaustive(x, threshold, linkage)
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.005])  # the detector default, and a fine cut
+    def test_capture_input(self, linkage, fraction):
+        x = capture_data(seed=1002)
+        assert_same_as_exhaustive(x, fraction * float(x.mean()), linkage)
 
 
 def _as_sets(data, labels):

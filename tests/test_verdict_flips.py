@@ -38,3 +38,18 @@ def test_a_synthetic_flip_is_counted():
     # the same runs compared the other way round lose where they won
     back = verdict_flips.compare(change, parent)["kmeans"]
     assert back["flips"] == 1 and back["accuracy"]["losses"] == 1 and back["fpr"]["losses"] == 1
+
+
+def test_collected_records_are_run_scenarios_without_allocation_tracing():
+    from driftwatch.bench import run_scenario
+    from driftwatch.detectors import MODEL_NAMES, DriftDetector
+    from driftwatch.scenario import PRESETS
+
+    mine = verdict_flips.scenario_records("qos", 0, MODEL_NAMES)
+    traced = run_scenario(PRESETS["qos"]().with_seed(0), {name: DriftDetector(name) for name in MODEL_NAMES})
+    assert list(mine) == list(MODEL_NAMES)
+    for name, records in mine.items():
+        expected = [r for r in traced if r.model.value == name]
+        assert [(r.batch_index, r.verdict) for r in records] == [(r.batch_index, r.verdict) for r in expected]
+        assert all(r.allocated_bytes == 0 for r in records)
+        assert any(r.allocated_bytes > 0 for r in expected)  # run_scenario does trace them

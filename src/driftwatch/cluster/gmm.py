@@ -60,11 +60,7 @@ def gmm_em(x: np.ndarray, m: int, centroids, *, max_iter: int = 200, tol: float 
 
     history: list[float] = []
     for _ in range(max_iter):
-        log_joint = (
-            np.log(weights)[None, :]
-            - 0.5 * (_LOG_2PI + np.log(variances))[None, :]
-            - (x[:, None] - means[None, :]) ** 2 / (2.0 * variances[None, :])
-        )
+        log_joint = _log_joint(x, weights, means, variances)
         norm = _logsumexp_rows(log_joint)
         history.append(float(norm.sum()))
         if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
@@ -82,11 +78,7 @@ def gmm_em(x: np.ndarray, m: int, centroids, *, max_iter: int = 200, tol: float 
 def gmm_responsibilities(model: GmmModel, data) -> np.ndarray:
     """Posterior component probabilities, one row per point (rows sum to 1)."""
     x = as_values(data, name="data")
-    log_joint = (
-        np.log(model.weights)[None, :]
-        - 0.5 * (_LOG_2PI + np.log(model.variances))[None, :]
-        - (x[:, None] - model.means[None, :]) ** 2 / (2.0 * model.variances[None, :])
-    )
+    log_joint = _log_joint(x, model.weights, model.means, model.variances)
     return np.exp(log_joint - _logsumexp_rows(log_joint)[:, None])
 
 
@@ -100,6 +92,15 @@ def gmm_assign(model: GmmModel, data) -> ClusterResult:
         labels=labels,
         n_clusters=int(present.size),
         centroids=model.means[present].copy(),
+    )
+
+
+def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """log(weight_j * N(x_i | mean_j, variance_j)), one row per point."""
+    return (
+        np.log(weights)[None, :]
+        - 0.5 * (_LOG_2PI + np.log(variances))[None, :]
+        - (x[:, None] - means[None, :]) ** 2 / (2.0 * variances[None, :])
     )
 
 

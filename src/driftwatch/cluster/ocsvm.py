@@ -56,17 +56,15 @@ def ocsvm_train(data, nu: float = 0.1, gamma: float = 1.0, *, tol: float = 1e-4,
         can_dn = alpha > bound_tol
         if not can_up.any() or not can_dn.any():
             break
-        ups = np.nonzero(can_up)[0]
-        dns = np.nonzero(can_dn)[0]
-        i = int(ups[grad[ups].argmin()])
-        j = int(dns[grad[dns].argmax()])
+        i = int(np.where(can_up, grad, np.inf).argmin())
+        j = int(np.where(can_dn, grad, -np.inf).argmax())
         if grad[j] - grad[i] <= tol:
             break
         curv = max(Q[i, i] + Q[j, j] - 2.0 * Q[i, j], 1e-12)
         step = min((grad[j] - grad[i]) / curv, cap - alpha[i], alpha[j])
         alpha[i] += step
         alpha[j] -= step
-        grad += step * (Q[:, i] - Q[:, j])
+        grad += step * (Q[i] - Q[j])  # rows: Q is exactly symmetric
 
     margin_tol = cap * 1e-7
     free = (alpha > margin_tol) & (alpha < cap - margin_tol)

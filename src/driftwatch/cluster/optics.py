@@ -5,6 +5,15 @@ hard it was to reach from the already-visited region, +inf for region
 leaders).  Clusters are maximal runs of the ordering whose reachability stays
 at or below a quantile cut of the finite reachability values; runs shorter
 than ``min_cluster_size`` and everything above the cut are noise.
+
+No N x N array is held.  A point's core distance is its ``min_samples``-th
+smallest distance (itself included), read from a window of its
+``min_samples - 1`` sorted neighbours on each side, padded with -inf/+inf.
+The window holds that distance exactly: a - b rounds monotonically, so
+fl(|a - b|) never decreases as b moves away from a in sorted rank on either
+side, and the ``min_samples`` smallest distances take at most
+``min_samples - 1`` points from each side.  Each visit computes its own
+distance row, the same subtraction the full matrix would hold.
 """
 
 from __future__ import annotations
@@ -46,40 +55,30 @@ def optics(
     if min_samples > n:
         raise ValueError(f"min_samples={min_samples} exceeds the {n} data points")
 
-    dist = np.abs(x[:, None] - x[None, :])
-    within = dist <= max_eps
-    counts = within.sum(axis=1)
-    sorted_rows = np.sort(dist, axis=1)
-    core_dist = np.where(
-        counts >= min_samples, sorted_rows[:, min_samples - 1], math.inf
-    )
+    rank = np.argsort(x)
+    pad = np.full(min_samples - 1, math.inf)
+    window = np.concatenate([-pad, x[rank], pad])[np.arange(n)[:, None] + np.arange(2 * min_samples - 1)]
+    kth = np.partition(np.abs(window - x[rank, None]), min_samples - 1, axis=1)[:, min_samples - 1]
+    core = np.empty(n)
+    core[rank] = np.where(kth <= max_eps, kth, math.inf)
 
+    # frontier: reachability of the unvisited points, inf once visited
     reach = np.full(n, math.inf)
-    processed = np.zeros(n, dtype=bool)
-    order: list[int] = []
-
-    def update_from(p: int) -> None:
-        if not math.isfinite(core_dist[p]):
-            return
-        q = within[p] & ~processed
-        reach[q] = np.minimum(reach[q], np.maximum(core_dist[p], dist[p, q]))
-
+    frontier = reach.copy()
+    unvisited = np.ones(n, dtype=bool)
+    ordering = np.empty(n, dtype=int)
     for i in range(n):
-        if processed[i]:
-            continue
-        processed[i] = True
-        order.append(i)
-        update_from(i)
-        while True:
-            pending = np.nonzero(~processed & np.isfinite(reach))[0]
-            if pending.size == 0:
-                break
-            nxt = int(pending[reach[pending].argmin()])  # argmin ties break low
-            processed[nxt] = True
-            order.append(nxt)
-            update_from(nxt)
+        p = int(frontier.argmin())  # argmin ties break low
+        if frontier[p] == math.inf:  # region finished: the lowest unvisited index leads the next
+            p = int(unvisited.argmax())
+        ordering[i] = p
+        reach[p] = frontier[p]
+        frontier[p] = math.inf
+        unvisited[p] = False
+        dist = np.abs(x[p] - x)
+        np.minimum(frontier, np.maximum(dist, core[p]), out=frontier, where=unvisited & (dist <= max_eps))
 
-    profile = ReachabilityProfile(np.array(order), reach)
+    profile = ReachabilityProfile(ordering, reach)
     return profile, _extract(x, profile, min_cluster_size, cut_quantile)
 
 
@@ -92,21 +91,8 @@ def _extract(
         return from_labels(x, labels)
     cut = float(np.quantile(finite, cut_quantile))
 
-    k = 0
-    run: list[int] = []
-
-    def flush() -> None:
-        nonlocal k
-        if len(run) >= min_cluster_size:
-            for p in run:
-                labels[p] = k
-            k += 1
-        run.clear()
-
-    for p in profile.ordering:
-        if profile.reachability[p] <= cut:
-            run.append(int(p))
-        else:
-            flush()
-    flush()
+    below = profile.reachability[profile.ordering] <= cut
+    runs = np.flatnonzero(np.diff(below, prepend=False, append=False)).reshape(-1, 2)
+    for k, (start, stop) in enumerate(runs[runs[:, 1] - runs[:, 0] >= min_cluster_size]):
+        labels[profile.ordering[start:stop]] = k
     return from_labels(x, labels)

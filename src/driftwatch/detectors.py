@@ -328,9 +328,10 @@ def _greedy_test(det, ref, x):
 
 
 #: Every model's rule.  Memory: affinity propagation holds four N x N matrices
-#: (similarity, responsibility, availability, scratch), hierarchical, optics
-#: and ocsvm about two; dbscan, kmeans and gmm stay linear in n (kmeans and
-#: gmm hold the silhouette search's k_max x n tables); greedy a running maximum.
+#: (similarity, responsibility, availability, scratch), hierarchical and ocsvm
+#: about two; dbscan, optics, kmeans and gmm stay linear in n (optics holds
+#: n x (2 * min_samples - 1) core-distance windows, kmeans and gmm the
+#: silhouette search's k_max x n tables); greedy a running maximum.
 RULES: dict[ModelType, Rule] = {
     ModelType.AFFINITY_PROPAGATION: _count_rule(
         _ap_preference,
@@ -354,7 +355,7 @@ RULES: dict[ModelType, Rule] = {
         lambda det, ref, x: optics(
             x, min_samples=det.min_samples, max_eps=det.max_eps,
             min_cluster_size=det.min_cluster_size, cut_quantile=det.cut_quantile)[1].n_clusters,
-        "min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}", memory=(2.15, 2),
+        "min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}", memory=(21.5, 1),
     ),
     ModelType.KMEANS: _gap_rule(lambda x, k, centroids: centroids, memory=(61, 1)),
     ModelType.GMM: _gap_rule(lambda x, k, centroids: gmm_em(x, k, centroids).means, memory=(61, 1)),

@@ -433,3 +433,51 @@ def agglomerative_matrix_reference(x, threshold: float, linkage: str):
     for label, slot in enumerate(np.nonzero(alive)[0]):
         labels[members[slot]] = label
     return (*_labels_and_centroids(x, labels), merges)
+
+
+def ocsvm_reference(x, nu: float = 0.1, gamma: float = 1.0, tol: float = 1e-4, max_iter: int | None = None):
+    """One-class SVM dual by pairwise coordinate ascent, each step picking its
+    pair from index lists of the movable alphas and updating the gradient by
+    kernel columns.  Float for float the engine's arithmetic.  Returns
+    (alphas, support values, rho)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    cap = 1.0 / (nu * n)
+    if max_iter is None:
+        max_iter = max(2000, 200 * n)
+    Q = np.exp(-gamma * (x[:, None] - x[None, :]) ** 2)
+    alpha = np.full(n, 1.0 / n)
+    grad = Q @ alpha
+    bound_tol = cap * 1e-12
+    for _ in range(max_iter):
+        can_up = alpha < cap - bound_tol
+        can_dn = alpha > bound_tol
+        if not can_up.any() or not can_dn.any():
+            break
+        ups = np.nonzero(can_up)[0]
+        dns = np.nonzero(can_dn)[0]
+        i = int(ups[grad[ups].argmin()])
+        j = int(dns[grad[dns].argmax()])
+        if grad[j] - grad[i] <= tol:
+            break
+        curv = max(Q[i, i] + Q[j, j] - 2.0 * Q[i, j], 1e-12)
+        step = min((grad[j] - grad[i]) / curv, cap - alpha[i], alpha[j])
+        alpha[i] += step
+        alpha[j] -= step
+        grad += step * (Q[:, i] - Q[:, j])
+
+    margin_tol = cap * 1e-7
+    free = (alpha > margin_tol) & (alpha < cap - margin_tol)
+    if free.any():
+        rho = float(grad[free].mean())
+    else:
+        at_cap = alpha >= cap - margin_tol
+        at_zero = alpha <= margin_tol
+        lo = float(grad[at_cap].max()) if at_cap.any() else None
+        hi = float(grad[at_zero].min()) if at_zero.any() else None
+        if lo is not None and hi is not None:
+            rho = 0.5 * (lo + hi)
+        else:
+            rho = lo if lo is not None else float(hi)
+    sv = alpha > bound_tol
+    return alpha[sv], x[sv], rho

@@ -268,6 +268,17 @@ class TestMemoryAccounting:
         assert basis == "measured"
         assert 0.5 <= peak / memory_estimate(model, n) <= 2.0, (peak, memory_estimate(model, n))
 
+    def test_capture_scale_optics_fit_is_within_2x_of_the_estimate(self):
+        # a linear estimate must hold at n = 2000 too, where an N x N working set is 16x its n = 500 size
+        n = 2000
+        rng = np.random.default_rng(1)
+        x = np.concatenate([rng.normal(1000.0, 40.0, n // 2), rng.normal(1600.0, 40.0, n - n // 2)])
+        det = DriftDetector("optics")
+        det.fit(x)  # first call pays one-off lazy imports
+        _, _, peak, basis = _measure(lambda: det.fit(x))
+        assert basis == "measured"
+        assert 0.5 <= peak / memory_estimate("optics", n) <= 2.0, (peak, memory_estimate("optics", n))
+
     @pytest.mark.parametrize("model", ["kmeans", "gmm"])
     def test_training_window_fit_is_within_2x_of_the_estimate(self, model):
         # the bench's training shape: five 18-point batches of one fulfillment mode

@@ -3,6 +3,8 @@ import pytest
 
 from driftwatch.cluster import ocsvm_predict, ocsvm_train
 
+from oracles import mixture_data, ocsvm_reference
+
 
 def trained(rng, n=60, nu=0.2):
     data = rng.normal(100, 5, n)
@@ -54,6 +56,26 @@ class TestDualSolution:
             ocsvm_train([1.0, 2.0], nu=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             ocsvm_train([1.0, 2.0], nu=0.1, gamma=0.0)
+
+
+class TestLoopOracle:
+    def test_matches_index_list_reference(self):
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            n = int(rng.integers(2, 70))
+            data = mixture_data(rng, n)
+            if trial % 3 == 1:
+                data = np.round(data, int(rng.integers(0, 2)))  # duplicate-heavy: exact gradient ties
+            if trial % 10 == 2:
+                data = np.full(n, 7.0)
+            nu = 1.0 if trial % 7 == 0 else float(rng.uniform(0.01, 1.0))
+            gamma = 1.0 / (2.0 * data.var()) if data.var() > 0 else 1.0
+            max_iter = int(rng.integers(1, 30)) if trial % 4 == 3 else None  # stopped runs too
+            model = ocsvm_train(data, nu=nu, gamma=gamma, max_iter=max_iter)
+            alphas, support, rho = ocsvm_reference(data, nu, gamma, max_iter=max_iter)
+            assert np.array_equal(model.alphas, alphas)
+            assert np.array_equal(model.support_values, support)
+            assert model.rho == rho
 
 
 class TestPrediction:

@@ -6,7 +6,7 @@ import pytest
 from driftwatch import DriftDetector
 from driftwatch.cluster import NOISE, dbscan, optics
 
-from oracles import mixture_data, optics_reference
+from oracles import capture_data, mixture_data, optics_reference
 
 
 def two_blobs():
@@ -90,6 +90,28 @@ class TestOpticsProfile:
 
 
 class TestOpticsOracle:
+    def assert_matches(self, data, min_samples, max_eps=math.inf, min_cluster_size=3):
+        profile, res = optics(data, min_samples=min_samples, max_eps=max_eps, min_cluster_size=min_cluster_size)
+        ordering, reach, labels = optics_reference(data, min_samples, max_eps, min_cluster_size)
+        assert np.array_equal(profile.ordering, ordering)
+        assert np.array_equal(profile.reachability, reach)
+        assert np.array_equal(res.labels, labels)
+
+    def test_windows_as_wide_as_the_data(self):
+        # min_samples of n - 1 and n: every core distance window spans the whole sorted input
+        rng = np.random.default_rng(32)
+        for trial in range(40):
+            n = int(rng.integers(2, 40))
+            data = mixture_data(rng, n)
+            if trial % 3 == 1:
+                data = np.round(data)
+            max_eps = math.inf if trial % 2 == 0 else float(rng.uniform(0.5, 60.0))
+            for min_samples in {max(2, n - 1), n}:
+                self.assert_matches(data, min_samples, max_eps, min_cluster_size=2)
+
+    def test_capture_scale(self):
+        self.assert_matches(capture_data(3), min_samples=3)
+
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(31)
         for trial in range(60):
@@ -100,10 +122,4 @@ class TestOpticsOracle:
             max_eps = math.inf if trial % 2 == 0 else float(rng.uniform(0.5, 20.0))
             min_samples = int(rng.integers(2, min(n, 5) + 1))
             min_cluster_size = int(rng.integers(2, 5))
-            profile, res = optics(
-                data, min_samples=min_samples, max_eps=max_eps, min_cluster_size=min_cluster_size
-            )
-            ordering, reach, labels = optics_reference(data, min_samples, max_eps, min_cluster_size)
-            assert np.array_equal(profile.ordering, ordering)
-            assert np.array_equal(profile.reachability, reach)
-            assert np.array_equal(res.labels, labels)
+            self.assert_matches(data, min_samples, max_eps, min_cluster_size)

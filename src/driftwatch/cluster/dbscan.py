@@ -26,9 +26,17 @@ from .result import NOISE, from_labels
 
 __all__ = ["dbscan", "dbscan_count"]
 
+_NAN = np.full(1, np.nan)  # the value past the end in _neighbourhoods
+_NAN.flags.writeable = False
+
 
 def dbscan(data, eps: float, min_pts: int):
-    x, order, xs, eps, start, end, core = _core(data, eps, min_pts)
+    x = as_values(data, name="data")
+    eps, min_pts = _checked(eps, min_pts)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start, end = _neighbourhoods(xs, eps)
+    core = end - start >= min_pts
     n = x.size
     labels = np.full(n, NOISE, dtype=int)
     cores = np.flatnonzero(core)
@@ -39,7 +47,9 @@ def dbscan(data, eps: float, min_pts: int):
     breaks = xs[cores[1:]] - xs[cores[:-1]] > eps
     component = np.concatenate(([0], np.cumsum(breaks)))
     first = np.minimum.reduceat(order[cores], np.flatnonzero(np.concatenate(([True], breaks))))
-    labels[order[cores]] = np.argsort(np.argsort(first))[component]
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels[order[cores]] = rank[component]
 
     # Border points take the label of the lowest-index core point in range.
     key = np.append(np.where(core, order, n), n)
@@ -51,20 +61,23 @@ def dbscan(data, eps: float, min_pts: int):
 
 def dbscan_count(data, eps: float, min_pts: int) -> int:
     """``dbscan(data, eps, min_pts).n_clusters``, counted as runs of sorted core values."""
-    _, _, xs, eps, _, _, core = _core(data, eps, min_pts)
-    runs = xs[core]
+    return count_runs(as_values(data, name="data"), eps, min_pts)
+
+
+def count_runs(x: np.ndarray, eps: float, min_pts: int) -> int:
+    """:func:`dbscan_count` of ``x``, a finite 1-D float array as
+    :func:`~driftwatch.validation.as_values` returns it; only ``eps`` and
+    ``min_pts`` are checked here.  The count reads no order, so a plain sort
+    serves."""
+    eps, min_pts = _checked(eps, min_pts)
+    xs = np.sort(x)
+    start, end = _neighbourhoods(xs, eps)
+    runs = xs[end - start >= min_pts]
     return int(np.count_nonzero(runs[1:] - runs[:-1] > eps)) + (runs.size > 0)
 
 
-def _core(data, eps, min_pts):
-    """(values, stable order, sorted values, eps, sorted [start, end), sorted core mask)."""
-    x = as_values(data, name="data")
-    eps = check_positive(eps, "eps")
-    min_pts = check_count(min_pts, "min_pts", minimum=1)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    start, end = _neighbourhoods(xs, eps)
-    return x, order, xs, eps, start, end, end - start >= min_pts
+def _checked(eps, min_pts) -> tuple[float, int]:
+    return check_positive(eps, "eps"), check_count(min_pts, "min_pts", minimum=1)
 
 
 def _neighbourhoods(xs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,12 +90,12 @@ def _neighbourhoods(xs: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]
     moves.  The NaN past the last value compares false, so no end grows past
     n, even for eps = inf.  ``start`` follows from ``end`` by symmetry.
     """
-    beyond = np.concatenate((xs, [np.nan]))
-    end = np.searchsorted(xs, xs + eps, "right")
+    beyond = np.concatenate((xs, _NAN))
+    end = xs.searchsorted(xs + eps, "right")
     while True:
         last, above = xs[end - 1], beyond[end]
         grow, shrink = above - xs <= eps, last - xs > eps
-        if not (grow | shrink).any():
+        if not np.count_nonzero(grow | shrink):
             return end.searchsorted(np.arange(xs.size), "right"), end
-        end = np.where(grow, np.searchsorted(xs, above, "right"),
-                       np.where(shrink, np.searchsorted(xs, last, "left"), end))
+        end = np.where(grow, xs.searchsorted(above, "right"),
+                       np.where(shrink, xs.searchsorted(last, "left"), end))

@@ -33,12 +33,12 @@ import numpy as np
 from .cluster import (
     affinity_propagation,
     agglomerative,
-    dbscan_count,
     greedy_max,
     ocsvm_predict,
     ocsvm_train,
     optics,
 )
+from .cluster.dbscan import count_runs
 from .cluster.gmm import gmm_em
 from .cluster.silhouette import best_k_fit
 from .validation import (
@@ -75,14 +75,14 @@ class ModelType(enum.Enum):
     def coerce(cls, value: "ModelType | str") -> "ModelType":
         if isinstance(value, cls):
             return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            names = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown model {value!r}; expected one of: {names}") from None
+        model = _MODELS.get(str(value).lower())
+        if model is None:
+            raise ValueError(f"unknown model {value!r}; expected one of: {', '.join(_MODELS)}")
+        return model
 
 
-MODEL_NAMES = tuple(m.value for m in ModelType)
+_MODELS = {m.value: m for m in ModelType}  # a dict lookup is faster than ModelType(name)
+MODEL_NAMES = tuple(_MODELS)
 
 
 class DetectorState(SimpleNamespace):
@@ -244,7 +244,7 @@ def _count_rule(derive, count, params, memory, limit=lambda det, k_train: k_trai
     """Recluster the batch with the engine parameters ``derive`` took from
     training; ``count`` returns the cluster count, and drift is when the test
     count exceeds ``limit(k_train)``.
-    ``params`` formats the evidence from the detector and the reference."""
+    ``params(det, ref)`` formats the engine parameters for the evidence."""
 
     def fit(det, x):
         ref = derive(det, x)
@@ -253,7 +253,7 @@ def _count_rule(derive, count, params, memory, limit=lambda det, k_train: k_trai
     def test(det, ref, x):
         k_test, k_limit = count(det, ref, x), limit(det, ref["k_train"])
         return k_test, k_limit, (f"k_test={k_test} vs k_train={ref['k_train']} "
-                                 f"(drift when > {k_limit}; {params.format(det=det, **ref)})")
+                                 f"(drift when > {k_limit}; {params(det, ref)})")
 
     return Rule(fit, test, _excess, memory)
 
@@ -338,24 +338,26 @@ RULES: dict[ModelType, Rule] = {
         lambda det, ref, x: affinity_propagation(
             x, preference=ref["preference"], damping=det.damping,
             max_iter=det.ap_max_iter, convergence_iter=det.ap_convergence_iter).n_clusters,
-        "preference={preference:.6g}", memory=(4, 2),
+        lambda det, ref: f"preference={ref['preference']:.6g}", memory=(4, 2),
         limit=lambda det, k_train: math.ceil(det.ap_multiplier * k_train),
     ),
     ModelType.DBSCAN: _count_rule(
-        _dbscan_eps, lambda det, ref, x: dbscan_count(x, ref["eps"], det.min_pts),
-        "eps={eps:.6g}, min_pts={det.min_pts}", memory=(9, 1),
+        _dbscan_eps, lambda det, ref, x: count_runs(x, ref["eps"], det.min_pts),
+        lambda det, ref: f"eps={ref['eps']:.6g}, min_pts={det.min_pts}", memory=(9, 1),
     ),
     ModelType.HIERARCHICAL: _count_rule(
         _hierarchical_threshold,
         lambda det, ref, x: agglomerative(x, ref["distance_threshold"], det.linkage).n_clusters,
-        "threshold={distance_threshold:.6g}, linkage={det.linkage}", memory=(2, 2),
+        lambda det, ref: f"threshold={ref['distance_threshold']:.6g}, linkage={det.linkage}",
+        memory=(2, 2),
     ),
     ModelType.OPTICS: _count_rule(
         lambda det, x: {},
         lambda det, ref, x: optics(
             x, min_samples=det.min_samples, max_eps=det.max_eps,
             min_cluster_size=det.min_cluster_size, cut_quantile=det.cut_quantile)[1].n_clusters,
-        "min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}", memory=(21.5, 1),
+        lambda det, ref: f"min_samples={det.min_samples}, min_cluster_size={det.min_cluster_size}",
+        memory=(21.5, 1),
     ),
     ModelType.KMEANS: _gap_rule(lambda x, k, centroids: centroids, memory=(61, 1)),
     ModelType.GMM: _gap_rule(lambda x, k, centroids: gmm_em(x, k, centroids).means, memory=(61, 1)),

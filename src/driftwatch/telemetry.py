@@ -75,10 +75,15 @@ class Series:
         pairs = np.asarray(samples, dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size:
             raise TelemetryError(f"series needs (t, value) pairs, got shape {pairs.shape}")
-        self._columns = pairs.T.copy()
-        _check(*self._columns)
-        self._columns.flags.writeable = False
-        self.meta = meta
+        self._own(pairs.T.copy(), meta)
+
+    def _own(self, columns: np.ndarray, meta: str, where=lambda i: "") -> "Series":
+        """Keep ``columns``, a (2, n) float64 array no one else holds, once it
+        passes :func:`_check` (errors prefixed with ``where(i)``)."""
+        _check(*columns, where)
+        columns.flags.writeable = False
+        self._columns, self.meta = columns, meta
+        return self
 
     @property
     def samples(self) -> tuple[ThroughputSample, ...]:
@@ -146,9 +151,56 @@ def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
     A single leading header line is skipped when its first column is not
     numeric.  Raises :class:`TelemetryError` with the line number of the first
     bad record: malformed, non-monotonic in time, negative or non-finite.
-    Raises it too on empty input.  Records are parsed into flat columns; no
-    object is kept per record.
+    Raises it too on empty input.
+
+    A seekable source goes to numpy's C reader in one call, once line 1 has
+    been read under the header rule.  Its rows are kept only when each has two
+    fields and the columns pass the series checks.  Any other input, and any
+    source that cannot be rewound, is read by the per-line loop, which gives
+    the same series or the same line-numbered error.  Only that loop reads
+    what numpy's reader refuses (``1_0``, non-ASCII digits, whitespace-only
+    lines, a bare ``\\r``, invalid UTF-8), and only it can name the line of a
+    bad record, since numpy skips blank lines without counting them.
     """
+    start = _position(source)
+    if start is not None:
+        try:
+            rows = _loadtxt_rows(source, start)
+            if rows is not None:
+                return Series(rows, meta)
+        except ValueError:  # UTF-8, numpy's reader or the series checks refuse it
+            pass
+        source.seek(start)
+    return _ingest_lines(source, meta)
+
+
+def _position(source) -> int | None:
+    """Where a seekable source stands, or None when it cannot be rewound."""
+    try:
+        return source.tell() if source.seekable() else None
+    except (AttributeError, OSError):  # not a file, or a text file mid-iteration
+        return None
+
+
+def _loadtxt_rows(source, start: int) -> np.ndarray | None:
+    """The (n, k) rows numpy's reader parses once line 1's header rule is
+    applied, or None when the line after a header or blank line 1 is blank
+    too (numpy warns on a body with no rows)."""
+    first = source.readline()
+    line = (first.decode("utf-8") if isinstance(first, bytes) else first).strip()
+    if line and _is_number(line.split(",")[0]):
+        source.seek(start)  # line 1 is a record
+    else:
+        body = source.tell()
+        if not source.readline().strip():
+            return None
+        source.seek(body)
+    return np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2,
+                      encoding="utf-8")
+
+
+def _ingest_lines(source: Iterable[bytes] | Iterable[str], meta: str = "") -> Series:
+    """:func:`ingest_csv` one line at a time, with each error's line number."""
     times, values, linenos = array("d"), array("d"), array("q")
     at_line = lambda i: f"line {linenos[i]}: "  # noqa: E731
 
@@ -179,9 +231,8 @@ def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
         linenos.append(lineno)
     if not times:
         raise TelemetryError("no samples found in input")
-    columns = np.stack((np.frombuffer(times), np.frombuffer(values)), axis=1)
-    _check(columns[:, 0], columns[:, 1], at_line)
-    return Series(columns, meta=meta)
+    columns = np.array((np.frombuffer(times), np.frombuffer(values)))
+    return Series.__new__(Series)._own(columns, meta, at_line)
 
 
 def render_csv(series: Series, sink: IO[str], *, header: bool = True) -> None:

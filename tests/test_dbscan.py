@@ -103,6 +103,8 @@ class TestDbscanCount:
             dbscan_count([1, 2], eps=0, min_pts=2)
         with pytest.raises(ValueError):
             dbscan_count([1, 2], eps=1, min_pts=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dbscan_count([1, np.nan], eps=1, min_pts=1)
 
 
 def _bound_rounding_differs(data, eps) -> bool:

@@ -35,6 +35,14 @@ class TestEstimatorApi:
         with pytest.raises(ValueError):
             det.set_params(nonsense=1)
 
+    def test_evaluate_checks_what_it_reads(self):
+        det = DriftDetector("dbscan").fit([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="x_test"):
+            det.evaluate([1.0, np.inf])
+        det.set_params(min_pts=0)  # after fit: only evaluate sees it
+        with pytest.raises(ValueError, match="min_pts"):
+            det.evaluate([1.0, 2.0])
+
     def test_sklearn_clone_compatible(self):
         sklearn_base = pytest.importorskip("sklearn.base")
         det = DriftDetector("greedy", margin=0.5)

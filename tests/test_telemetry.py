@@ -1,9 +1,11 @@
+import contextlib
 import io
 import math
 
 import numpy as np
 import pytest
 
+from driftwatch import telemetry
 from driftwatch.telemetry import (
     Batch,
     Series,
@@ -109,10 +111,113 @@ class TestColumns:
         ("t,kbps\n0,1\n1,inf", 3),
         ("0,1\n1,-1\n2,abc", 2),  # an earlier bad record comes before a parse error
         ("0,1\n1,1\n1,2\n3,x,y", 3),
+        ("0,1\n\n1,2\n\n1,3", 5),  # non-advancing time after a blank line
+        ("t,kbps\n\n0,1\n\n-1,2", 5),
+        ("0,1\r\n1,-1\r\n", 2),
+        ("0,1\n1,1e400", 2),  # overflows to inf
+        ("0,1\n20,1\n1_0,2", 3),  # Python reads 1_0 as 10
+        ("0,1\n\t\n0,2", 3),  # numpy refuses the whitespace-only line
     ])
     def test_first_bad_record_names_its_line(self, text, line):
-        with pytest.raises(TelemetryError, match=f"^line {line}: "):
-            ingest_csv(io.StringIO(text))
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(TelemetryError, match=f"^line {line}: "):
+                ingest_csv(source)
+
+
+#: Inputs on both sides of numpy's reader: what it parses, what it refuses,
+#: and what it parses but the series checks reject.
+INGEST_CASES = [
+    b"t,kbps\n0,1\n1,2\n",
+    b"0,1\n1,2\n",
+    b"0,1\n1,2",
+    b"t,kbps\n\n0,1\n\n1,2\n\n",
+    b"\n0,1\n1,2\n",
+    b"\nt,kbps\n0,1\n",  # only line 1 may be a header
+    b"t,kbps\n \n0,1\n",
+    b"0,1\n\t \n1,2\n",
+    b"t,kbps\r\n0,1\r\n1,2\r\n",
+    b"0,1\r1,2\r",
+    b"0,1\n\r\n1,2\n",
+    b" 0 , 1 \n\t1\t,\t2\t\n",
+    b"0,1\n1_0,2\n",
+    b"0,\xd9\xa1\n",  # an Arabic-Indic digit one
+    b"0,1\n1,2\xc2\xa0\n",  # a trailing no-break space
+    b"\xef\xbb\xbft,kbps\n0,1\n",
+    b"\xef\xbb\xbf0,1\n1,2\n",  # a BOM makes line 1 a header
+    b"t,kb\xffps\n0,1\n",
+    b"0,1\n1,2\xa0\n",
+    b"#t,kbps\n0,1\n",
+    b"0,1\n#1,2\n",
+    b"0,1 # note\n",
+    b"0\n1\n",
+    b"0,1,2\n1,2,3\n",
+    b"0,1\n1,2,3\n",
+    b"0,1,\n",
+    b"0,nan\n",
+    b"0,1\n1,inf\n",
+    b"0,1\n1,1e400\n",
+    b"0,-1\n",
+    b"-1,1\n",
+    b"0,1\n\n1,2\n\n1,3\n",
+    b"0,1\n2,1\n\n1,1\n",
+    b"0,Infinity\n",
+    b"0,0x10\n",
+    b"0,1e5\n1,+2.5\n2,.5\n3,4.\n",
+    b"",
+    b"t,kbps\n",
+    b"t,kbps\n\n",
+    b"\n\n",
+    b"t,kbps\n\n\n0,1\n",
+]
+
+
+def _outcome(read, source):
+    """A series' columns as bytes, or the message of the TelemetryError raised."""
+    try:
+        series = read(source)
+    except TelemetryError as exc:
+        return str(exc)
+    assert not series.times().flags.writeable and not series.values().flags.writeable
+    return series.times().tobytes(), series.values().tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reader warns on a body with no rows
+class TestIngestPaths:
+    """``ingest_csv`` against its per-line loop, the reference for every input."""
+
+    @pytest.mark.parametrize("data", INGEST_CASES)
+    def test_same_columns_or_error_as_the_line_loop(self, data):
+        sources = [data]
+        with contextlib.suppress(UnicodeDecodeError):
+            sources.append(data.decode("utf-8"))
+        for raw in sources:
+            make = io.BytesIO if isinstance(raw, bytes) else io.StringIO
+            assert _outcome(ingest_csv, make(raw)) == _outcome(telemetry._ingest_lines, make(raw))
+
+    def test_a_clean_capture_skips_the_line_loop(self, monkeypatch):
+        def refuse(source, meta=""):
+            raise AssertionError("per-line loop used")
+
+        monkeypatch.setattr(telemetry, "_ingest_lines", refuse)
+        for data in (b"t,kbps\n0,1\n1,2\n", b"0,1\r\n1,2\r\n"):
+            series = ingest_csv(io.BytesIO(data), meta="m")
+            assert series == Series([(0, 1), (1, 2)], meta="m")
+            assert ingest_csv(io.StringIO(data.decode())) == Series([(0, 1), (1, 2)])
+
+    def test_source_that_cannot_rewind_uses_the_line_loop(self):
+        lines = ["t,kbps\n", "0,1\n", "1,2\n"]
+        assert ingest_csv(lines) == ingest_csv(iter(lines)) == Series([(0, 1), (1, 2)])
+        with pytest.raises(TelemetryError, match="^line 3: "):
+            ingest_csv(iter(["0,1\n", "\n", "0,2\n"]))
+
+    def test_reads_on_from_where_the_handle_stands(self):
+        handle = io.StringIO("t,kbps\n0,1\n1,2\n")
+        handle.readline()
+        assert ingest_csv(handle) == Series([(0, 1), (1, 2)])
+        handle = io.BytesIO(b"t,kbps\n0,1\n\n0,2\n")
+        handle.readline()
+        with pytest.raises(TelemetryError, match="^line 3: "):  # the loop rewinds to line 2
+            ingest_csv(handle)
 
 
 class TestSeriesInvariants:

@@ -4,7 +4,9 @@ Protocol: generate the scenario, cut 9 s batches, fit each detector once on
 the first ``train_window_batches`` batches that lie fully inside the
 fulfillment phase, then evaluate every subsequent batch.  Each evaluation
 yields one :class:`RunRecord` carrying the verdict, the ground-truth label,
-wall time, and peak allocated bytes.
+wall time, and peak allocated bytes.  :func:`protocol_steps` is the one
+driver of that fit-then-evaluate loop: the bench and ``driftwatch replay``
+both consume it, and :func:`score_run` scores the runs of either.
 
 Latency is reported as two separate metrics because a single "latency"
 number conflates them: ``detection_delay`` (scenario seconds from drift
@@ -71,6 +73,9 @@ class BenchProtocol:
     train_window_batches: int = 5
     refit_every: int = 0  # 0: fit once, never refit
     batch_len: float = 9.0
+
+    def __post_init__(self) -> None:
+        check_count(self.refit_every, "refit_every", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,8 @@ def _measure(fn: Callable[[], Any]) -> tuple[Any, float, int, str]:
     return result, elapsed, max(0, peak - base), "measured"
 
 
-def _timed(fn: Callable[[], Any]) -> tuple[Any, float]:
-    """Run fn without starting allocation tracing; return (result, wall seconds)."""
+def _timed(fn: Callable[[], Any], n: int) -> tuple[Any, float]:
+    """Run fn (on n points) untraced; return (result, wall seconds)."""
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
@@ -247,18 +252,23 @@ def _as_detector_map(
 
 
 def training_window(
-    batches: Sequence[Batch], truth: GroundTruth, n_batches: int
+    batches: Sequence[Batch], truth: GroundTruth | None, n_batches: int
 ) -> list[int]:
-    """Indices of the first n batches fully inside the fulfillment phase."""
+    """Indices of the first n batches fully inside the fulfillment phase, or
+    of the first n batches when truth is None.  At least one batch must
+    follow them, since the protocol evaluates only batches after the window.
+    """
     check_count(n_batches, "train_window_batches", minimum=1)
-    start = end = None
-    for i, b in enumerate(truth.boundaries):
-        if b.kind is PhaseKind.FULFILLMENT:
-            start = b.start_t
-            end = truth.boundaries[i + 1].start_t if i + 1 < len(truth.boundaries) else truth.end_t
-            break
-    if start is None:
-        raise ProtocolError("scenario has no fulfillment phase to train on")
+    where, start, end = "capture", -math.inf, math.inf
+    if truth is not None:
+        where, start = "fulfillment phase", None
+        for i, b in enumerate(truth.boundaries):
+            if b.kind is PhaseKind.FULFILLMENT:
+                start = b.start_t
+                end = truth.boundaries[i + 1].start_t if i + 1 < len(truth.boundaries) else truth.end_t
+                break
+        if start is None:
+            raise ProtocolError("scenario has no fulfillment phase to train on")
     tiny = 1e-9
     idx = [
         i
@@ -267,8 +277,12 @@ def training_window(
     ]
     if len(idx) < n_batches:
         raise ProtocolError(
-            f"fulfillment phase holds only {len(idx)} full batches; "
+            f"{where} holds only {len(idx)} full batches; "
             f"{n_batches} needed for the training window"
+        )
+    if idx[n_batches - 1] + 1 == len(batches):
+        raise ProtocolError(
+            f"no batch follows the {n_batches}-batch training window, so none is left to evaluate"
         )
     return idx[:n_batches]
 
@@ -277,27 +291,38 @@ def _clone(detector: DriftDetector) -> DriftDetector:
     return type(detector)(**detector.get_params())
 
 
-def _protocol_steps(
+def protocol_steps(
     det: DriftDetector,
-    train_values,
     batches: Sequence[Batch],
-    eval_start: int,
+    train_idx: Sequence[int],
     protocol: BenchProtocol,
-    call: Callable[[Callable[[], Any], int], tuple[Any, float]],
+    call: Callable[[Callable[[], Any], int], tuple[Any, Any]] = _timed,
 ):
-    """Drive det through the protocol, yielding (batch index, verdict, cost)
-    per evaluated batch.  ``call(fn, n)`` runs one fit or evaluate on n points
-    and returns (result, cost); a record's cost includes the fits before it."""
-    _, extra = call(lambda: det.fit(train_values), train_values.size)
-    for j, bi in enumerate(range(eval_start, len(batches))):
+    """Fit det on the training batches, then evaluate every later batch,
+    refitting every ``protocol.refit_every`` evaluations on the batches just
+    before.  Yields (batch index, verdict, fit cost, evaluate cost) per
+    evaluated batch; the fit cost covers the fits since the previous yield.
+    ``call(fn, n)`` runs one fit or evaluate on n points and returns
+    (result, cost); the default times it untraced, in seconds."""
+    train = concat_values(batches[i] for i in train_idx)
+    _, fit_cost = call(lambda: det.fit(train), train.size)
+    for j, bi in enumerate(range(train_idx[-1] + 1, len(batches))):
         values = batches[bi].values
         if protocol.refit_every > 0 and j > 0 and j % protocol.refit_every == 0:
             window = concat_values(batches[max(0, bi - protocol.train_window_batches):bi])
-            _, cost = call(lambda: det.fit(window), window.size)
-            extra += cost
+            _, fit_cost = call(lambda: det.fit(window), window.size)
         verdict, cost = call(lambda: det.evaluate(values), len(values))
-        yield bi, verdict, extra + cost
-        extra = 0
+        yield bi, verdict, fit_cost, cost
+        fit_cost = 0
+
+
+def run_record(model: ModelType, batches: Sequence[Batch], bi: int, verdict: DriftVerdict,
+               truth: GroundTruth, compute_time: float, allocated_bytes: int = 0) -> RunRecord:
+    """The record of batch ``bi``'s verdict, labelled against truth."""
+    batch = batches[bi]
+    return RunRecord(model=model, batch_index=bi, batch_start_t=batch.start_t,
+                     batch_end_t=batch.end_t, verdict=verdict, truth=label_batch(batch, truth),
+                     compute_time=compute_time, allocated_bytes=allocated_bytes)
 
 
 def _run_scenario(
@@ -308,39 +333,26 @@ def _run_scenario(
 ) -> tuple[dict[str, list[RunRecord]], Series, GroundTruth, list[Batch]]:
     """Run the protocol timed and untraced, then replay its first
     ``traced_records`` records (all when None) on a fresh clone under
-    allocation tracing to fill ``allocated_bytes``."""
+    allocation tracing to fill ``allocated_bytes``.  A record's compute time
+    and allocation include the fits made before it."""
     dets = _as_detector_map(detectors)
     series, truth = generate(spec)
     batches = batchify(series, protocol.batch_len, protocol.batch_len)
     train_idx = training_window(batches, truth, protocol.train_window_batches)
-    train_values = concat_values(batches[i] for i in train_idx)
-    eval_start = train_idx[-1] + 1
 
     by_model: dict[str, list[RunRecord]] = {}
     for name, proto in dets.items():
         model = ModelType.coerce(proto.model)
-        timed = list(_protocol_steps(
-            _clone(proto), train_values, batches, eval_start, protocol,
-            lambda fn, n: _timed(fn),
-        ))
-        traced = islice(_protocol_steps(
-            _clone(proto), train_values, batches, eval_start, protocol,
+        timed = list(protocol_steps(_clone(proto), batches, train_idx, protocol))
+        traced = islice(protocol_steps(
+            _clone(proto), batches, train_idx, protocol,
             lambda fn, n: _allocation(model, fn, n),
         ), traced_records)
-        peaks = [nbytes for _, _, nbytes in traced]
+        peaks = [fit + evaluate for _, _, fit, evaluate in traced]
         peaks += [0] * (len(timed) - len(peaks))
         by_model[name] = [
-            RunRecord(
-                model=model,
-                batch_index=bi,
-                batch_start_t=batches[bi].start_t,
-                batch_end_t=batches[bi].end_t,
-                verdict=verdict,
-                truth=label_batch(batches[bi], truth),
-                compute_time=seconds,
-                allocated_bytes=nbytes,
-            )
-            for (bi, verdict, seconds), nbytes in zip(timed, peaks)
+            run_record(model, batches, bi, verdict, truth, fit + evaluate, nbytes)
+            for (bi, verdict, fit, evaluate), nbytes in zip(timed, peaks)
         ]
     return by_model, series, truth, batches
 
@@ -395,6 +407,15 @@ def detection_delay(records: Sequence[RunRecord], truth: GroundTruth) -> float:
     return sum(delays) / len(delays)
 
 
+def score_run(records: Sequence[RunRecord], truth: GroundTruth) -> dict[str, float]:
+    """Accuracy, false-positive rate and, when truth has a drift onset,
+    detection delay of one run's records."""
+    scores = {"accuracy": accuracy(records), "false_positive_rate": false_positive_rate(records)}
+    if truth.drift_onsets():
+        scores["detection_delay"] = detection_delay(records, truth)
+    return scores
+
+
 def compute_time_stats(records: Sequence[RunRecord]) -> ComputeTimeStats:
     """Mean and max wall time across records; errors on empty input."""
     if not records:
@@ -433,9 +454,7 @@ def compare_models(
     dets = _as_detector_map(detectors)
     check_count(repetitions, "repetitions", minimum=1)
 
-    accs: dict[str, list[float]] = {m: [] for m in dets}
-    fprs: dict[str, list[float]] = {m: [] for m in dets}
-    delays: dict[str, list[float]] = {m: [] for m in dets}
+    runs: dict[str, list[dict[str, float]]] = {m: [] for m in dets}
     times: dict[str, list[float]] = {m: [] for m in dets}
     peaks: dict[str, int] = {m: 0 for m in dets}
     basis = f"{'estimated' if tracemalloc is None else 'measured'}: {MEMORY_SUBSET}"
@@ -447,22 +466,21 @@ def compare_models(
             by_model, series, truth, _ = _run_scenario(
                 seeded, dets, protocol, traced_records=1 if rep == 0 else 0
             )
-            has_drift_phase = bool(truth.drift_onsets())
             for name, records in by_model.items():
-                accs[name].append(accuracy(records))
-                fprs[name].append(false_positive_rate(records))
-                if has_drift_phase:
-                    delays[name].append(detection_delay(records, truth))
+                runs[name].append(score_run(records, truth))
                 times[name].extend(r.compute_time for r in records)
                 peaks[name] = max(peaks[name], max(r.allocated_bytes for r in records))
                 if s_index == 0 and rep == 0:
                     timelines[name] = _timeline_rows(series, truth, records)
 
+    def average(name: str, metric: str, empty: float = 0.0) -> float:
+        return _mean([run[metric] for run in runs[name] if metric in run], empty)
+
     per_model = {
         name: ModelStats(
-            accuracy=_mean(accs[name]),
-            false_positive_rate=_mean(fprs[name]),
-            avg_detection_delay=_mean(delays[name]) if delays[name] else math.inf,
+            accuracy=average(name, "accuracy"),
+            false_positive_rate=average(name, "false_positive_rate"),
+            avg_detection_delay=average(name, "detection_delay", math.inf),
             avg_compute_time=_mean(times[name]),
             peak_memory_bytes=peaks[name],
             memory_basis=basis,
@@ -505,8 +523,8 @@ def compare_models(
     )
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _mean(values: Sequence[float], empty: float = 0.0) -> float:
+    return sum(values) / len(values) if values else empty
 
 
 def _ranked(per_model: Mapping[str, ModelStats], key) -> list[str]:

@@ -19,17 +19,16 @@ from pathlib import Path
 
 from .bench import (
     BenchProtocol,
-    RunRecord,
-    accuracy,
     compare_models,
-    detection_delay,
     emit_report,
-    false_positive_rate,
+    protocol_steps,
+    run_record,
+    score_run,
     training_window,
 )
 from .detectors import MODEL_NAMES, DriftDetector, ModelType, verdict_record
-from .scenario import PRESETS, GroundTruth, ScenarioSpec, generate, label_batch
-from .telemetry import Series, batchify, concat_values, ingest_csv, render_csv
+from .scenario import PRESETS, GroundTruth, ScenarioSpec, generate
+from .telemetry import Series, batchify, ingest_csv, render_csv
 
 _DETECTOR_FLAGS = (
     # (flag, param, type, help)
@@ -233,53 +232,26 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     truth = None
     if args.truth is not None:
         truth = GroundTruth.from_json(Path(args.truth).read_text(encoding="utf-8"))
-        train_idx = training_window(batches, truth, args.train_batches)
-    else:
-        if len(batches) <= args.train_batches:
-            raise ValueError(
-                f"capture yields only {len(batches)} batches; more than "
-                f"{args.train_batches} training batches are needed"
-            )
-        train_idx = list(range(args.train_batches))
+    protocol = BenchProtocol(train_window_batches=args.train_batches, batch_len=args.batch_len)
+    train_idx = training_window(batches, truth, protocol.train_window_batches)
 
+    model = ModelType.coerce(args.model)
     detector = DriftDetector(model=args.model, **_detector_params(args))
-    detector.fit(concat_values(batches[i] for i in train_idx))
-
     records = []
-    for bi in range(train_idx[-1] + 1, len(batches)):
+    for bi, verdict, _, seconds in protocol_steps(detector, batches, train_idx, protocol):
         batch = batches[bi]
-        t0 = time.perf_counter()
-        verdict = detector.evaluate(batch.values)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
         _emit(
             verdict_record(
                 args.model, verdict,
-                t_start=batch.start_t, t_end=batch.end_t, elapsed_ms=elapsed_ms,
+                t_start=batch.start_t, t_end=batch.end_t, elapsed_ms=seconds * 1000.0,
             )
         )
         if truth is not None:
-            records.append(
-                RunRecord(
-                    model=ModelType.coerce(args.model),
-                    batch_index=bi,
-                    batch_start_t=batch.start_t,
-                    batch_end_t=batch.end_t,
-                    verdict=verdict,
-                    truth=label_batch(batch, truth),
-                    compute_time=elapsed_ms / 1000.0,
-                    allocated_bytes=0,
-                )
-            )
-    if truth is not None and records:
-        summary = {
-            "records": len(records),
-            "accuracy": accuracy(records),
-            "false_positive_rate": false_positive_rate(records),
-        }
-        if truth.drift_onsets():
-            delay = detection_delay(records, truth)
-            summary["detection_delay"] = None if math.isinf(delay) else delay
-        _emit({"summary": summary})
+            records.append(run_record(model, batches, bi, verdict, truth, seconds))
+    if truth is not None:
+        # JSON has no infinity: a drift never detected has a null delay
+        scores = {k: None if math.isinf(v) else v for k, v in score_run(records, truth).items()}
+        _emit({"summary": {"records": len(records), **scores}})
     return 0
 
 

@@ -124,6 +124,32 @@ class TestRunScenario:
         with pytest.raises(ProtocolError, match="no fulfillment"):
             run_scenario(spec, DriftDetector("greedy"))
 
+    def test_no_batch_after_the_window_raises_before_scoring(self):
+        spec = ScenarioSpec(
+            "fulfillment-last",
+            (
+                PhaseSpec(PhaseKind.NORMAL, 36, 1000, noise_std=50),
+                PhaseSpec(PhaseKind.FULFILLMENT, 45, 500, noise_std=25),
+            ),
+            sample_period=0.5,
+        )
+        with pytest.raises(ProtocolError, match="no batch follows the 5-batch training window"):
+            compare_models({"short": spec}, [DriftDetector("greedy")])
+
+    def test_training_window_without_truth_is_the_first_batches(self):
+        series, _ = generate(drift_free_spec())
+        batches = batchify(series, 9.0, 9.0)
+        assert training_window(batches, None, 3) == [0, 1, 2]
+        assert training_window(batches, None, len(batches) - 1) == list(range(len(batches) - 1))
+        with pytest.raises(ProtocolError, match="no batch follows"):
+            training_window(batches, None, len(batches))
+        with pytest.raises(ProtocolError, match=f"capture holds only {len(batches)} full batches"):
+            training_window(batches, None, len(batches) + 1)
+
+    def test_negative_refit_every_rejected(self):
+        with pytest.raises(ValueError, match="refit_every must be an integer >= 0, got -1"):
+            BenchProtocol(refit_every=-1)
+
     def test_refit_every_changes_reference(self):
         spec = lifecycle_spec()
         fixed = run_scenario(spec, DriftDetector("greedy"), BenchProtocol(refit_every=0))

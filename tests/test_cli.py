@@ -1,10 +1,15 @@
 import json
+import math
+import time
 
 import pytest
 
+from driftwatch import cli
+from driftwatch.bench import BenchProtocol, _run_scenario, run_scenario, score_run
 from driftwatch.cli import _DETECTOR_FLAGS, main
 from driftwatch.detectors import DriftDetector
-from driftwatch.scenario import PhaseKind, PhaseSpec, ScenarioSpec
+from driftwatch.scenario import PRESETS, PhaseKind, PhaseSpec, ScenarioSpec, generate
+from driftwatch.telemetry import render_csv
 
 
 def run_cli(capsys, *args):
@@ -25,6 +30,30 @@ def fulfillment_only_spec(seed=0):
         (PhaseSpec(PhaseKind.FULFILLMENT, 99, 800, noise_std=40),),
         sample_period=0.25,
         seed=seed,
+    )
+
+
+def write_capture(spec, base):
+    """Write spec's series and ground truth as ``generate`` does; return the
+    replay arguments that read them."""
+    series, truth = generate(spec)
+    with open(f"{base}.csv", "w", encoding="utf-8") as fh:
+        render_csv(series, fh)
+    with open(f"{base}.truth.json", "w", encoding="utf-8") as fh:
+        json.dump(truth.to_dict(), fh)
+    return ["--csv", f"{base}.csv", "--truth", f"{base}.truth.json"]
+
+
+def short_fulfillment_spec():
+    # 10 batches of normal traffic, then a fulfillment phase that the 5-batch
+    # training window fills exactly: no batch is left to evaluate
+    return ScenarioSpec(
+        "short",
+        (
+            PhaseSpec(PhaseKind.NORMAL, 90, 1000, noise_std=50),
+            PhaseSpec(PhaseKind.FULFILLMENT, 45, 500, noise_std=25),
+        ),
+        sample_period=0.5,
     )
 
 
@@ -192,6 +221,24 @@ class TestReplay:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("with_truth, train_batches, message", [
+        # the fulfillment phase ends the capture, so its window leaves nothing
+        (True, "5", "no batch follows the 5-batch training window"),
+        # without truth the window is the first n of the capture's 15 batches
+        (False, "15", "no batch follows the 15-batch training window"),
+        (False, "16", "capture holds only 15 full batches; 16 needed"),
+        (True, "0", "train_window_batches must be an integer >= 1, got 0"),
+        (False, "0", "train_window_batches must be an integer >= 1, got 0"),
+    ])
+    def test_too_few_batches_exit_2(self, tmp_path, capsys, with_truth, train_batches, message):
+        args = write_capture(short_fulfillment_spec(), tmp_path / "short")
+        code, out, err = run_cli(
+            capsys, "replay", "--model", "dbscan", *(args if with_truth else args[:2]),
+            "--train-batches", train_batches,
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_drift_free_capture_rarely_flags(self, tmp_path, capsys):
         # false-positive acceptance run: a steady capture should replay clean
         # for dbscan with default config in at least 95% of seeds
@@ -247,6 +294,15 @@ class TestBench:
         assert code == 2
         assert "error" in err
 
+    def test_negative_refit_every_exit_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--models", "greedy", "--presets", "qos",
+            "--reps", "1", "--refit-every", "-1", "--out", str(tmp_path / "b"),
+        )
+        assert (code, out) == (2, "")
+        assert "refit_every" in err
+        assert not (tmp_path / "b").exists()
+
     def test_stdout_is_machine_consumable(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--models", "greedy,dbscan", "--presets", "qos",
@@ -255,3 +311,56 @@ class TestBench:
         assert code == 0
         for line in out.splitlines():
             json.loads(line)  # every stdout line parses as JSON
+
+
+class TestReplayIsTheBenchProtocol:
+    @pytest.mark.parametrize("model", ["dbscan", "kmeans", "greedy"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_same_verdicts_and_scores_as_the_bench(self, tmp_path, capsys, preset, seed, model):
+        spec = PRESETS[preset]().with_seed(seed)
+        args = write_capture(spec, tmp_path / "cap")
+        code, out, _ = run_cli(capsys, "replay", "--model", model, *args)
+        assert code == 0
+        *lines, last = json_lines(out)
+
+        by_model, _, truth, _ = _run_scenario(
+            spec, {model: DriftDetector(model)}, BenchProtocol(), traced_records=0
+        )
+        records = by_model[model]
+        assert [(ln["drift"], ln["score"], ln["detail"], ln["t_start"], ln["t_end"]) for ln in lines] == [
+            (r.verdict.drift, r.verdict.score, r.verdict.detail, r.batch_start_t, r.batch_end_t)
+            for r in records
+        ]
+        scores = score_run(records, truth)
+        delay = scores["detection_delay"]
+        assert last["summary"] == {
+            "records": len(records),
+            "accuracy": scores["accuracy"],
+            "false_positive_rate": scores["false_positive_rate"],
+            "detection_delay": None if math.isinf(delay) else delay,
+        }
+
+
+class SlowFit(DriftDetector):
+    """A detector whose fit takes at least FIT_S seconds."""
+
+    FIT_S = 0.2
+
+    def fit(self, X):
+        time.sleep(self.FIT_S)
+        return super().fit(X)
+
+
+class TestFitCost:
+    def test_replay_elapsed_ms_is_the_evaluate_alone(self, capsys, capture, monkeypatch):
+        monkeypatch.setattr(cli, "DriftDetector", SlowFit)
+        code, out, _ = run_cli(capsys, "replay", "--model", "greedy", "--csv", str(capture) + ".csv")
+        assert code == 0
+        lines = json_lines(out)
+        assert lines and all(ln["elapsed_ms"] < 1000 * SlowFit.FIT_S for ln in lines)
+
+    def test_bench_folds_the_fit_into_the_first_record(self):
+        records = run_scenario(PRESETS["qos"]().with_seed(0), SlowFit("greedy"))
+        assert records[0].compute_time >= SlowFit.FIT_S
+        assert all(r.compute_time < SlowFit.FIT_S for r in records[1:])

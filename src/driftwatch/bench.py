@@ -78,7 +78,7 @@ class BenchProtocol:
         check_count(self.refit_every, "refit_every", minimum=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One evaluated batch: verdict vs truth plus resource readings.
 

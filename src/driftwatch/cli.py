@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--csv", required=True, help="capture CSV to replay")
     rep.add_argument("--truth", default=None, help="ground-truth JSON for scoring")
     rep.add_argument("--batch-len", type=float, default=9.0)
-    rep.add_argument("--stride", type=float, default=None, help="batch stride (default: batch length)")
+    rep.add_argument("--stride", type=float, default=None,
+                     help="batch stride, at least the batch length (default: batch length)")
     rep.add_argument("--train-batches", type=int, default=5)
     _add_detector_flags(rep)
 
@@ -224,6 +225,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     series = _load_series(args.csv)
     stride = args.stride if args.stride is not None else args.batch_len
+    if stride < args.batch_len:  # overlapping batches would share samples with the training window
+        raise ValueError(f"--stride {stride} must be >= --batch-len {args.batch_len}")
     batches = batchify(series, args.batch_len, stride)
     if not batches:
         raise ValueError(

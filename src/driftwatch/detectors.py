@@ -90,7 +90,7 @@ class DetectorState(SimpleNamespace):
     reference values the model's rule reads (``k_train``, ``eps``, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DriftVerdict:
     """Boolean outcome plus the evidence that produced it."""
 

@@ -246,9 +246,12 @@ def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:
     period = spec.sample_period
     total = spec.total_duration
     n = int(np.ceil(total / period - 1e-9))
-    ts = np.arange(n) * period
+    # The series keeps this array; each phase fills its slice of the value
+    # row in place, so beyond it only one phase-length temporary is alive.
+    columns = np.empty((2, n))
+    ts, values = columns
+    np.multiply(np.arange(n), period, out=ts)
 
-    values = np.empty(n)
     boundaries: list[PhaseBoundary] = []
     start = 0.0
     lo = 0
@@ -256,16 +259,18 @@ def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:
         boundaries.append(PhaseBoundary(start, phase.kind))
         end = start + phase.duration
         hi = int(np.searchsorted(ts, end - 1e-9, side="left"))
-        u = ts[lo:hi] - start
-        level = phase.base_level + (phase.end_level - phase.base_level) * (u / phase.duration)
-        chunk = level + rng.normal(0.0, phase.noise_std, hi - lo)
+        level = values[lo:hi]  # base + (end - base) * ((t - start) / duration)
+        np.subtract(ts[lo:hi], start, out=level)
+        level /= phase.duration
+        level *= phase.end_level - phase.base_level
+        level += phase.base_level
+        level += rng.normal(0.0, phase.noise_std, hi - lo)
         if phase.fluctuation_amp > 0:
-            chunk += _bounded_walk(rng, hi - lo, phase.fluctuation_amp)
-        values[lo:hi] = chunk
+            level += _bounded_walk(rng, hi - lo, phase.fluctuation_amp)
         start, lo = end, hi
 
     np.clip(values, 0.0, None, out=values)
-    series = Series(np.stack((ts, values), axis=1), meta=spec.intent_tag)
+    series = Series._adopt(columns, meta=spec.intent_tag)
     return series, GroundTruth(tuple(boundaries), total)
 
 

@@ -30,6 +30,10 @@ __all__ = [
 
 CSV_HEADER = "t,kbps"
 
+# Rows per slice that render_csv turns into Python floats: its working memory
+# is two lists of this many floats, whatever the series length.
+_CSV_CHUNK = 4096
+
 
 class TelemetryError(ValueError):
     """Malformed or inconsistent telemetry input."""
@@ -48,7 +52,7 @@ def _check(times: np.ndarray, values: np.ndarray, where=lambda i: "") -> None:
     times strictly increasing."""
     bad_t = ~(np.isfinite(times) & (times >= 0))
     bad_v = ~(np.isfinite(values) & (values >= 0))
-    stalled = np.concatenate(([False], np.diff(times) <= 0))
+    stalled = np.concatenate(([False], times[1:] <= times[:-1]))
     bad = np.flatnonzero(bad_t | bad_v | stalled)
     if not bad.size:
         return
@@ -73,13 +77,21 @@ class Series:
 
     def __init__(self, samples, meta: str = "") -> None:
         pairs = np.asarray(samples, dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or not pairs.size:
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise TelemetryError(f"series needs (t, value) pairs, got shape {pairs.shape}")
         self._own(pairs.T.copy(), meta)
+
+    @classmethod
+    def _adopt(cls, columns: np.ndarray, meta: str = "", where=lambda i: "") -> "Series":
+        """A series that keeps ``columns``, a (2, n) float64 array no one else
+        holds, without copying it (see :meth:`_own`)."""
+        return cls.__new__(cls)._own(columns, meta, where)
 
     def _own(self, columns: np.ndarray, meta: str, where=lambda i: "") -> "Series":
         """Keep ``columns``, a (2, n) float64 array no one else holds, once it
         passes :func:`_check` (errors prefixed with ``where(i)``)."""
+        if not columns.size:
+            raise TelemetryError(f"series needs (t, value) pairs, got shape {columns.T.shape}")
         _check(*columns, where)
         columns.flags.writeable = False
         self._columns, self.meta = columns, meta
@@ -105,7 +117,7 @@ class Series:
         return self._columns[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Batch:
     """A contiguous window of throughput values covering [start_t, end_t).
 
@@ -232,15 +244,22 @@ def _ingest_lines(source: Iterable[bytes] | Iterable[str], meta: str = "") -> Se
     if not times:
         raise TelemetryError("no samples found in input")
     columns = np.array((np.frombuffer(times), np.frombuffer(values)))
-    return Series.__new__(Series)._own(columns, meta, at_line)
+    return Series._adopt(columns, meta, at_line)
 
 
 def render_csv(series: Series, sink: IO[str], *, header: bool = True) -> None:
-    """Write a series in the CSV wire format (full float precision)."""
+    """Write a series in the CSV wire format (full float precision).
+
+    Rows are converted to Python floats a slice of ``_CSV_CHUNK`` at a time,
+    so the working memory does not grow with the series.
+    """
     if header:
         sink.write(CSV_HEADER + "\n")
-    for t, value in zip(series.times().tolist(), series.values().tolist()):
-        sink.write(f"{t!r},{value!r}\n")
+    times, values = series.times(), series.values()
+    for lo in range(0, times.size, _CSV_CHUNK):
+        hi = lo + _CSV_CHUNK
+        for t, value in zip(times[lo:hi].tolist(), values[lo:hi].tolist()):
+            sink.write(f"{t!r},{value!r}\n")
 
 
 def _is_number(token: str) -> bool:

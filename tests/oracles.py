@@ -481,3 +481,46 @@ def ocsvm_reference(x, nu: float = 0.1, gamma: float = 1.0, tol: float = 1e-4, m
             rho = lo if lo is not None else float(hi)
     sv = alpha > bound_tol
     return alpha[sv], x[sv], rho
+
+
+def generate_reference(spec) -> tuple[np.ndarray, np.ndarray, list[tuple[float, str]], float]:
+    """``scenario.generate`` written with whole-phase temporaries and a
+    stacked (n, 2) copy: (times, values, [(phase start, kind value)], end)."""
+    rng = np.random.default_rng(spec.seed)
+    period = spec.sample_period
+    total = float(sum(p.duration for p in spec.phases))
+    n = int(np.ceil(total / period - 1e-9))
+    ts = np.arange(n) * period
+
+    values = np.empty(n)
+    boundaries = []
+    start = 0.0
+    lo = 0
+    for phase in spec.phases:
+        boundaries.append((start, phase.kind.value))
+        end = start + phase.duration
+        hi = int(np.searchsorted(ts, end - 1e-9, side="left"))
+        u = ts[lo:hi] - start
+        level = phase.base_level + (phase.end_level - phase.base_level) * (u / phase.duration)
+        chunk = level + rng.normal(0.0, phase.noise_std, hi - lo)
+        if phase.fluctuation_amp > 0:
+            amp = phase.fluctuation_amp
+            steps = rng.normal(0.0, 10.0 * amp, hi - lo)
+            walk = np.empty(hi - lo)
+            cur = 0.0
+            for i in range(hi - lo):
+                cur = min(max(cur + steps[i], -amp), amp)
+                walk[i] = cur
+            chunk += walk
+        values[lo:hi] = chunk
+        start, lo = end, hi
+
+    np.clip(values, 0.0, None, out=values)
+    pairs = np.stack((ts, values), axis=1).T.copy()
+    return pairs[0], pairs[1], boundaries, total
+
+
+def render_csv_reference(times, values, header: bool = True) -> str:
+    """The CSV wire format, one row per sample from whole-column lists."""
+    rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(list(map(float, times)), list(map(float, values))))
+    return ("t,kbps\n" if header else "") + rows

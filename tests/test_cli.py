@@ -239,6 +239,38 @@ class TestReplay:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("stride, batch_len", [("4.5", "9"), ("8.999", "9"), ("2", "3")])
+    def test_stride_below_batch_len_exit_2(self, capsys, capture, stride, batch_len):
+        # overlapping batches would train on repeated samples and evaluate
+        # batches that share samples with the training window
+        code, out, err = run_cli(
+            capsys, "replay", "--model", "dbscan", "--csv", str(capture) + ".csv",
+            "--stride", stride, "--batch-len", batch_len,
+        )
+        assert (code, out) == (2, "")
+        assert f"--stride {float(stride)} must be >= --batch-len {float(batch_len)}" in err
+
+    @pytest.mark.parametrize("extra", [("--stride", "9"), ("--stride", "9", "--batch-len", "9")])
+    def test_stride_equal_to_batch_len_changes_nothing(self, capsys, capture, extra):
+        args = ("replay", "--model", "dbscan", "--csv", str(capture) + ".csv",
+                "--truth", str(capture) + ".truth.json")
+
+        def without_timing(out):
+            return [{k: v for k, v in ln.items() if k != "elapsed_ms"} for ln in json_lines(out)]
+
+        code, plain, _ = run_cli(capsys, *args)
+        code_strided, strided, _ = run_cli(capsys, *args, *extra)
+        assert code == code_strided == 0
+        assert without_timing(strided) == without_timing(plain)
+
+    def test_stride_above_batch_len_is_allowed(self, capsys, capture):
+        code, out, _ = run_cli(
+            capsys, "replay", "--model", "dbscan", "--csv", str(capture) + ".csv", "--stride", "18"
+        )
+        assert code == 0
+        starts = [ln["t_start"] for ln in json_lines(out)]
+        assert starts and all(b - a == 18.0 for a, b in zip(starts, starts[1:]))
+
     def test_drift_free_capture_rarely_flags(self, tmp_path, capsys):
         # false-positive acceptance run: a steady capture should replay clean
         # for dbscan with default config in at least 95% of seeds

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from driftwatch.scenario import (
+    PRESETS,
     GroundTruth,
     PhaseKind,
     PhaseSpec,
@@ -12,11 +15,24 @@ from driftwatch.scenario import (
     preset_qos,
     preset_security,
 )
-from driftwatch.telemetry import Batch
+from driftwatch.telemetry import Batch, TelemetryError
+
+from oracles import generate_reference
 
 
 def spec_of(*phases, period=1.0, seed=0):
     return ScenarioSpec("test", tuple(phases), sample_period=period, seed=seed)
+
+
+def multi_hour_spec(seed=0, period=0.5):
+    # 3 h with every phase kind, a trending drift and two random walks
+    return spec_of(
+        PhaseSpec(PhaseKind.NORMAL, 600, 5000, noise_std=250),
+        PhaseSpec(PhaseKind.FULFILLMENT, 9000, 1200, noise_std=60),
+        PhaseSpec(PhaseKind.DRIFT, 900, 1200, end_level=1450, noise_std=42, fluctuation_amp=250),
+        PhaseSpec(PhaseKind.FAILURE, 300, 40, noise_std=45, fluctuation_amp=560),
+        period=period, seed=seed,
+    )
 
 
 class TestGenerate:
@@ -190,3 +206,57 @@ class TestSerialization:
             ScenarioSpec.from_json("[1, 2]")
         with pytest.raises(ScenarioError):
             ScenarioSpec.from_json('{"intent_tag": "x"}')
+
+
+class TestGenerateIsTheReference:
+    """generate fills the series' columns in place; the stacked-copy oracle
+    must give the same bits."""
+
+    @staticmethod
+    def assert_same(spec):
+        series, truth = generate(spec)
+        times, values, boundaries, end_t = generate_reference(spec)
+        assert series.times().tobytes() == times.tobytes()
+        assert series.values().tobytes() == values.tobytes()
+        assert [(b.start_t, b.kind.value) for b in truth.boundaries] == boundaries
+        assert truth.end_t == end_t
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets(self, preset, seed):
+        self.assert_same(PRESETS[preset]().with_seed(seed))
+
+    @pytest.mark.parametrize("period, n", [(0.5, 21_600), (0.3, 36_000)])
+    def test_multi_hour_spec(self, period, n):
+        spec = multi_hour_spec(seed=4, period=period)
+        self.assert_same(spec)
+        values = generate(spec)[0].values()
+        # the failure phase sits near 0 with a wide walk, so the clamp bites
+        assert values.size == n and (values == 0.0).any()
+
+    def test_no_sample_is_still_an_error(self):
+        # the handed-over columns are checked like any other series input
+        spec = spec_of(PhaseSpec(PhaseKind.NORMAL, 1e-12, 5.0))
+        with pytest.raises(TelemetryError, match=r"got shape \(0, 2\)"):
+            generate(spec)
+
+
+class TestGenerateMemory:
+    def test_peak_is_the_columns_plus_one_phase_draw(self):
+        spec = spec_of(
+            PhaseSpec(PhaseKind.NORMAL, 180, 5000, noise_std=250),
+            PhaseSpec(PhaseKind.FULFILLMENT, 49_622, 1200, noise_std=60),
+            PhaseSpec(PhaseKind.DRIFT, 117, 1200, end_level=1450, noise_std=42, fluctuation_amp=250),
+            PhaseSpec(PhaseKind.FAILURE, 81, 5000, noise_std=45, fluctuation_amp=560),
+            period=0.5,
+        )
+        generate(spec)  # imports and caches outside the traced call
+        tracemalloc.start()
+        try:
+            series, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = series.times().nbytes + series.values().nbytes
+        assert len(series) == 100_000
+        assert peak < 1.75 * column_bytes

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import math
+import tracemalloc
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from driftwatch.telemetry import (
     ingest_csv,
     render_csv,
 )
+
+from oracles import render_csv_reference
 
 
 def make_series(values, period=1.0):
@@ -220,6 +225,42 @@ class TestIngestPaths:
             ingest_csv(handle)
 
 
+def awkward_series(n, seed=0):
+    # uneven steps and values that need all 17 significant digits, plus 0,
+    # a subnormal and a huge value
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.001, 2.0, n))
+    values = rng.lognormal(6.0, 2.0, n)
+    values[:3] = 0.0, 5e-324, 1.5e300
+    return Series(np.column_stack((times, values)))
+
+
+class TestRenderCsv:
+    @pytest.mark.parametrize("header", [True, False])
+    def test_matches_the_per_row_reference(self, header):
+        # 10,001 rows cross the slice boundaries and end in a one-row slice
+        series = awkward_series(10_001)
+        sink = io.StringIO()
+        render_csv(series, sink, header=header)
+        assert sink.getvalue() == render_csv_reference(series.times(), series.values(), header)
+
+    def test_peak_memory_does_not_grow_with_the_series(self):
+        # short reprs and a builtin sink keep the traced call fast
+        n = 100_000
+        series = Series(np.column_stack((np.arange(n) * 0.5, np.arange(n) % 997.0)))
+        last = deque(maxlen=1)
+        sink = SimpleNamespace(write=last.append)
+        render_csv(make_series([1.0, 2.0]), sink)  # warm up outside the traced call
+        tracemalloc.start()
+        try:
+            render_csv(series, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(last) == [f"{(n - 1) * 0.5!r},{(n - 1) % 997.0!r}\n"]
+        assert peak < 2**20
+
+
 class TestSeriesInvariants:
     def test_equal_timestamps_rejected(self):
         with pytest.raises(TelemetryError):
@@ -239,6 +280,23 @@ class TestSeriesInvariants:
     def test_wrong_shape_rejected(self):
         with pytest.raises(TelemetryError, match="pairs"):
             Series(np.zeros((3, 3)))
+
+    # Adjacent non-finite stamps: the first is reported as not finite, on the
+    # same line, before any "does not advance" check could see the pair.
+    @pytest.mark.parametrize("body, message", [
+        ("0,1\n1,1\ninf,2\ninf,3\n", "line 3: sample time must be finite and >= 0, got inf"),
+        ("0,1\n-inf,2\n-inf,3\n", "line 2: sample time must be finite and >= 0, got -inf"),
+        ("0,1\nnan,2\nnan,3\n", "line 2: sample time must be finite and >= 0, got nan"),
+        ("t,kbps\ninf,2\nnan,3\n", "line 2: sample time must be finite and >= 0, got inf"),
+        ("0,1\n2,1\nnan,2\ninf,3\n", "line 3: sample time must be finite and >= 0, got nan"),
+        ("0,1\n2,1\n2,2\ninf,3\ninf,4\n", "line 3: timestamp 2.0 does not advance past 2.0"),
+    ])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_adjacent_non_finite_times(self, body, message, as_bytes):
+        source = io.BytesIO(body.encode()) if as_bytes else io.StringIO(body)
+        with pytest.raises(TelemetryError) as info:
+            ingest_csv(source)
+        assert str(info.value) == message
 
 
 class TestBatchify:

@@ -27,10 +27,10 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -105,6 +105,9 @@ class ComputeTimeStats:
 
 @dataclass
 class ModelStats:
+    """One model's row of the comparison.  The fields, in this order, are its
+    keys in report.json and its rows in report.csv."""
+
     accuracy: float
     false_positive_rate: float
     avg_detection_delay: float  # seconds; +inf when never detected
@@ -126,62 +129,55 @@ class BenchReport:
     per_model: dict[str, ModelStats]
     rankings: dict[str, list[str]]
     calibration_warnings: list[str]
+    # Outside equality and report.json: emit_report writes one CSV per model.
     timelines: dict[str, list[tuple]] = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenarios": self.scenarios,
-            "configs": self.configs,
-            "protocol": self.protocol,
-            "repetitions": self.repetitions,
-            "seed_base": self.seed_base,
-            "total_runs": self.total_runs,
-            "per_model": {
-                name: {
-                    "accuracy": s.accuracy,
-                    "false_positive_rate": s.false_positive_rate,
-                    "avg_detection_delay": None if math.isinf(s.avg_detection_delay) else s.avg_detection_delay,
-                    "avg_compute_time": s.avg_compute_time,
-                    "peak_memory_bytes": s.peak_memory_bytes,
-                    "memory_basis": s.memory_basis,
-                }
-                for name, s in self.per_model.items()
-            },
-            "rankings": self.rankings,
-            "calibration_warnings": self.calibration_warnings,
+        """The JSON document: every field in declaration order but the
+        timelines, which :func:`emit_report` writes as CSV files."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        doc["per_model"] = {
+            name: {k: _json_value(v) for k, v in asdict(stats).items()}
+            for name, stats in self.per_model.items()
         }
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "BenchReport":
-        per_model = {
-            name: ModelStats(
-                accuracy=float(s["accuracy"]),
-                false_positive_rate=float(s["false_positive_rate"]),
-                avg_detection_delay=math.inf if s["avg_detection_delay"] is None else float(s["avg_detection_delay"]),
-                avg_compute_time=float(s["avg_compute_time"]),
-                peak_memory_bytes=int(s["peak_memory_bytes"]),
-                memory_basis=str(s["memory_basis"]),
-            )
-            for name, s in d["per_model"].items()
-        }
-        return cls(
-            scenarios=d["scenarios"],
-            configs=d["configs"],
-            protocol=d["protocol"],
-            repetitions=int(d["repetitions"]),
-            seed_base=int(d["seed_base"]),
-            total_runs=int(d["total_runs"]),
-            per_model=per_model,
-            rankings={k: list(v) for k, v in d["rankings"].items()},
-            calibration_warnings=list(d["calibration_warnings"]),
-        )
+        per_model = {name: _from_json(ModelStats, s) for name, s in d["per_model"].items()}
+        return _from_json(cls, {**d, "per_model": per_model})
 
     @classmethod
     def from_json(cls, text: str) -> "BenchReport":
         return cls.from_dict(json.loads(text))
+
+
+def _json_value(value: Any) -> Any:
+    """A report value as JSON holds it: a model by its name, an infinite
+    float as null (JSON has no infinity)."""
+    if isinstance(value, ModelType):
+        return value.value
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    return value
+
+
+def _from_json(cls: type, doc: Mapping[str, Any]) -> Any:
+    """Build dataclass cls from the fields :meth:`BenchReport.to_dict` writes.
+
+    A field annotated int, float or str is coerced to that type, with null
+    read back as infinity for a float; a missing key raises KeyError and a
+    malformed number ValueError.
+    """
+    values = {f.name: doc[f.name] for f in fields(cls) if f.compare}
+    for name, kind in get_type_hints(cls).items():
+        if kind in (int, float, str):
+            value = values[name]
+            values[name] = math.inf if kind is float and value is None else kind(value)
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +448,10 @@ def compare_models(
     scenario's first repetition for each model.
     """
     dets = _as_detector_map(detectors)
+    if not scenarios:
+        raise ValueError("compare_models needs at least one scenario")
+    if not dets:
+        raise ValueError("compare_models needs at least one detector")
     check_count(repetitions, "repetitions", minimum=1)
 
     runs: dict[str, list[dict[str, float]]] = {m: [] for m in dets}
@@ -508,11 +508,7 @@ def compare_models(
     return BenchReport(
         scenarios={name: spec.to_dict() for name, spec in scenarios.items()},
         configs={name: _jsonable_params(det) for name, det in dets.items()},
-        protocol={
-            "train_window_batches": protocol.train_window_batches,
-            "refit_every": protocol.refit_every,
-            "batch_len": protocol.batch_len,
-        },
+        protocol=asdict(protocol),
         repetitions=repetitions,
         seed_base=seed_base,
         total_runs=len(scenarios) * repetitions * len(dets),
@@ -532,14 +528,7 @@ def _ranked(per_model: Mapping[str, ModelStats], key) -> list[str]:
 
 
 def _jsonable_params(det: DriftDetector) -> dict[str, Any]:
-    out = {}
-    for k, v in det.get_params().items():
-        if isinstance(v, ModelType):
-            v = v.value
-        elif isinstance(v, float) and math.isinf(v):
-            v = None
-        out[k] = v
-    return out
+    return {k: _json_value(v) for k, v in det.get_params().items()}
 
 
 def _timeline_rows(
@@ -582,12 +571,7 @@ def emit_report(report: BenchReport, sink: str | Path) -> list[Path]:
         writer = csv.writer(fh)
         writer.writerow(["model", "metric", "value"])
         for name, stats in report.per_model.items():
-            writer.writerow([name, "accuracy", repr(stats.accuracy)])
-            writer.writerow([name, "false_positive_rate", repr(stats.false_positive_rate)])
-            writer.writerow([name, "avg_detection_delay", repr(stats.avg_detection_delay)])
-            writer.writerow([name, "avg_compute_time", repr(stats.avg_compute_time)])
-            writer.writerow([name, "peak_memory_bytes", stats.peak_memory_bytes])
-            writer.writerow([name, "memory_basis", stats.memory_basis])
+            writer.writerows((name, metric, value) for metric, value in asdict(stats).items())
     paths.append(csv_path)
 
     for name, rows in report.timelines.items():
@@ -595,7 +579,6 @@ def emit_report(report: BenchReport, sink: str | Path) -> list[Path]:
         with tl_path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "value", "truth", "verdict"])
-            for t, value, truth_flag, verdict in rows:
-                writer.writerow([repr(t), repr(value), truth_flag, "" if verdict is None else verdict])
+            writer.writerows(rows)  # floats as repr, a verdict of None as ""
         paths.append(tl_path)
     return paths

@@ -16,9 +16,11 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 from .bench import (
     BenchProtocol,
+    _json_value,
     compare_models,
     emit_report,
     protocol_steps,
@@ -253,21 +255,27 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             records.append(run_record(model, batches, bi, verdict, truth, seconds))
     if truth is not None:
         # JSON has no infinity: a drift never detected has a null delay
-        scores = {k: None if math.isinf(v) else v for k, v in score_run(records, truth).items()}
+        scores = {k: _json_value(v) for k, v in score_run(records, truth).items()}
         _emit({"summary": {"records": len(records), **scores}})
     return 0
 
 
+def _names(arg: str, available: Sequence[str], what: str) -> tuple[str, ...]:
+    """The names in a comma-separated list, or every available one for
+    'all'; an unknown or repeated name raises ValueError."""
+    if arg == "all":
+        return tuple(available)
+    names = tuple(name.strip() for name in arg.split(",") if name.strip())
+    for i, name in enumerate(names):
+        if name not in available or name in names[:i]:
+            problem = "repeated" if name in available else "unknown"
+            raise ValueError(f"{problem} {what} {name!r}; available: {', '.join(available)}")
+    return names
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    model_names = MODEL_NAMES if args.models == "all" else tuple(
-        name.strip() for name in args.models.split(",") if name.strip()
-    )
-    preset_names = tuple(sorted(PRESETS)) if args.presets == "all" else tuple(
-        name.strip() for name in args.presets.split(",") if name.strip()
-    )
-    for name in preset_names:
-        if name not in PRESETS:
-            raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    model_names = _names(args.models, MODEL_NAMES, "model")
+    preset_names = _names(args.presets, sorted(PRESETS), "preset")
 
     params = _detector_params(args)
     detectors = {name: DriftDetector(model=name, **params) for name in model_names}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -92,14 +92,7 @@ class PhaseSpec:
             raise ScenarioError(f"{self.kind.value} phases cannot fluctuate; fluctuation_amp must be 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "duration": self.duration,
-            "base_level": self.base_level,
-            "end_level": self.end_level,
-            "noise_std": self.noise_std,
-            "fluctuation_amp": self.fluctuation_amp,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PhaseSpec":
@@ -136,12 +129,7 @@ class ScenarioSpec:
         return replace(self, seed=int(seed))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "intent_tag": self.intent_tag,
-            "phases": [p.to_dict() for p in self.phases],
-            "sample_period": self.sample_period,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "phases": [p.to_dict() for p in self.phases]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -228,7 +216,10 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"invalid ground-truth JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ScenarioError("ground-truth JSON must be an object")
         return cls.from_dict(doc)

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from driftwatch.bench import (
     MEMORY_SUBSET,
     BenchProtocol,
     BenchReport,
+    ModelStats,
     ProtocolError,
     RunRecord,
+    _jsonable_params,
     _measure,
     _run_scenario,
     accuracy,
@@ -336,6 +339,15 @@ class TestCompareModels:
         )
         assert report.total_runs == 2 * 3 * 2
 
+    @pytest.mark.parametrize("scenarios, detectors, message", [
+        ({}, {"greedy": DriftDetector("greedy")}, "at least one scenario"),
+        ({"lifecycle": lifecycle_spec()}, {}, "at least one detector"),
+        ({"lifecycle": lifecycle_spec()}, [], "at least one detector"),
+    ])
+    def test_nothing_to_compare_raises(self, scenarios, detectors, message):
+        with pytest.raises(ValueError, match=message):
+            compare_models(scenarios, detectors)
+
     def test_deterministic_accuracy_and_delay(self):
         kwargs = dict(
             scenarios={"lifecycle": lifecycle_spec()},
@@ -428,7 +440,173 @@ class TestEmitReport:
             {"affinity": DriftDetector("affinity", ap_max_iter=2)},  # never converges: no detections
             repetitions=1,
         )
-        if math.isinf(report.per_model["affinity"].avg_detection_delay):
-            doc = json.loads(report.to_json())
-            assert doc["per_model"]["affinity"]["avg_detection_delay"] is None
-            assert BenchReport.from_json(report.to_json()) == report
+        assert math.isinf(report.per_model["affinity"].avg_detection_delay)
+        doc = json.loads(report.to_json())
+        assert doc["per_model"]["affinity"]["avg_detection_delay"] is None
+        assert BenchReport.from_json(report.to_json()) == report
+
+
+def golden_report():
+    """A hand-built report: two models, one never detecting (infinite delay),
+    and a config holding an infinite value and a ModelType."""
+    spec = ScenarioSpec(
+        "golden",
+        (
+            PhaseSpec(PhaseKind.FULFILLMENT, 18, 500, noise_std=25),
+            PhaseSpec(PhaseKind.DRIFT, 9, 500, end_level=560.5, fluctuation_amp=110),
+        ),
+        sample_period=0.5,
+        seed=3,
+    )
+    params = {"model": ModelType.OPTICS, "min_samples": 3, "max_eps": math.inf, "gamma_override": None}
+    return BenchReport(
+        scenarios={"golden": spec.to_dict()},
+        configs={"optics": _jsonable_params(SimpleNamespace(get_params=lambda: params))},
+        protocol={"train_window_batches": 5, "refit_every": 0, "batch_len": 9.0},
+        repetitions=2,
+        seed_base=3,
+        total_runs=4,
+        per_model={
+            "optics": ModelStats(0.1 + 0.2, 0.0, 13.5, 1.25e-05, 352232, "measured: golden subset"),
+            "greedy": ModelStats(0.5, 0.25, math.inf, 0.001, 0, "measured: golden subset"),
+        },
+        rankings={"accuracy": ["greedy", "optics"], "detection_delay": ["optics", "greedy"]},
+        calibration_warnings=["calibration: golden"],
+        timelines={
+            "greedy": [
+                (0.0, 812.5, 0, None),
+                (0.5, 0.1 + 0.2, 1, 0),
+                (1.0, 1e-07, 1, 1),
+                (1.5, 1234567.125, 0, None),
+            ]
+        },
+    )
+
+
+GOLDEN_REPORT_JSON = """\
+{
+  "scenarios": {
+    "golden": {
+      "intent_tag": "golden",
+      "phases": [
+        {
+          "kind": "fulfillment",
+          "duration": 18,
+          "base_level": 500,
+          "end_level": 500.0,
+          "noise_std": 25,
+          "fluctuation_amp": 0.0
+        },
+        {
+          "kind": "drift",
+          "duration": 9,
+          "base_level": 500,
+          "end_level": 560.5,
+          "noise_std": 25.0,
+          "fluctuation_amp": 110
+        }
+      ],
+      "sample_period": 0.5,
+      "seed": 3
+    }
+  },
+  "configs": {
+    "optics": {
+      "model": "optics",
+      "min_samples": 3,
+      "max_eps": null,
+      "gamma_override": null
+    }
+  },
+  "protocol": {
+    "train_window_batches": 5,
+    "refit_every": 0,
+    "batch_len": 9.0
+  },
+  "repetitions": 2,
+  "seed_base": 3,
+  "total_runs": 4,
+  "per_model": {
+    "optics": {
+      "accuracy": 0.30000000000000004,
+      "false_positive_rate": 0.0,
+      "avg_detection_delay": 13.5,
+      "avg_compute_time": 1.25e-05,
+      "peak_memory_bytes": 352232,
+      "memory_basis": "measured: golden subset"
+    },
+    "greedy": {
+      "accuracy": 0.5,
+      "false_positive_rate": 0.25,
+      "avg_detection_delay": null,
+      "avg_compute_time": 0.001,
+      "peak_memory_bytes": 0,
+      "memory_basis": "measured: golden subset"
+    }
+  },
+  "rankings": {
+    "accuracy": [
+      "greedy",
+      "optics"
+    ],
+    "detection_delay": [
+      "optics",
+      "greedy"
+    ]
+  },
+  "calibration_warnings": [
+    "calibration: golden"
+  ]
+}
+"""
+
+GOLDEN_REPORT_CSV = (
+    "model,metric,value\r\n"
+    "optics,accuracy,0.30000000000000004\r\n"
+    "optics,false_positive_rate,0.0\r\n"
+    "optics,avg_detection_delay,13.5\r\n"
+    "optics,avg_compute_time,1.25e-05\r\n"
+    "optics,peak_memory_bytes,352232\r\n"
+    "optics,memory_basis,measured: golden subset\r\n"
+    "greedy,accuracy,0.5\r\n"
+    "greedy,false_positive_rate,0.25\r\n"
+    "greedy,avg_detection_delay,inf\r\n"
+    "greedy,avg_compute_time,0.001\r\n"
+    "greedy,peak_memory_bytes,0\r\n"
+    "greedy,memory_basis,measured: golden subset\r\n"
+)
+
+GOLDEN_TIMELINE_CSV = (
+    "t,value,truth,verdict\r\n"
+    "0.0,812.5,0,\r\n"
+    "0.5,0.30000000000000004,1,0\r\n"
+    "1.0,1e-07,1,1\r\n"
+    "1.5,1234567.125,0,\r\n"
+)
+
+
+class TestReportBytes:
+    def test_emitted_files_are_the_golden_bytes(self, tmp_path):
+        paths = emit_report(golden_report(), tmp_path)
+        assert [p.name for p in paths] == ["report.json", "report.csv", "timeline_greedy.csv"]
+        assert (tmp_path / "report.json").read_bytes() == GOLDEN_REPORT_JSON.encode()
+        assert (tmp_path / "report.csv").read_bytes() == GOLDEN_REPORT_CSV.encode()
+        assert (tmp_path / "timeline_greedy.csv").read_bytes() == GOLDEN_TIMELINE_CSV.encode()
+
+    def test_golden_json_reads_back_as_the_report(self):
+        assert BenchReport.from_json(GOLDEN_REPORT_JSON) == golden_report()
+
+    @pytest.mark.parametrize("key", ["accuracy", "avg_detection_delay", "peak_memory_bytes", "memory_basis"])
+    def test_missing_per_model_key_raises_key_error(self, key):
+        doc = json.loads(GOLDEN_REPORT_JSON)
+        del doc["per_model"]["greedy"][key]
+        with pytest.raises(KeyError, match=key):
+            BenchReport.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["accuracy", "false_positive_rate", "avg_detection_delay",
+                                     "avg_compute_time", "peak_memory_bytes"])
+    def test_non_numeric_metric_raises_value_error(self, key):
+        doc = json.loads(GOLDEN_REPORT_JSON)
+        doc["per_model"]["optics"][key] = "fast"
+        with pytest.raises(ValueError):
+            BenchReport.from_dict(doc)

@@ -212,6 +212,15 @@ class TestReplay:
         summary = lines[-1]["summary"]
         assert {"records", "accuracy", "false_positive_rate", "detection_delay"} <= set(summary)
 
+    def test_malformed_truth_json_exit_2(self, tmp_path, capsys, capture):
+        bad = tmp_path / "bad.truth.json"
+        bad.write_text("{boundaries: []}")
+        code, out, err = run_cli(
+            capsys, "replay", "--model", "dbscan", "--csv", str(capture) + ".csv", "--truth", str(bad),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid ground-truth JSON: Expecting property name")
+
     def test_batch_len_larger_than_capture_exit_2(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("".join(f"{i},10\n" for i in range(5)))
@@ -315,6 +324,23 @@ class TestBench:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("models, presets, message", [
+        ("dbscan", ",", "compare_models needs at least one scenario"),
+        (",", "qos", "compare_models needs at least one detector"),
+        ("dbscan,DBSCAN", "qos", "unknown model 'DBSCAN'; available: affinity, dbscan, gmm,"),
+        ("dbscan,knn", "qos", "unknown model 'knn'; available: affinity, dbscan, gmm,"),
+        ("dbscan, dbscan", "qos", "repeated model 'dbscan'; available: affinity, dbscan, gmm,"),
+        ("dbscan", "qos,qos", "repeated preset 'qos'; available: qos, security"),
+    ])
+    def test_bad_name_lists_exit_2(self, tmp_path, capsys, models, presets, message):
+        code, out, err = run_cli(
+            capsys, "bench", "--models", models, "--presets", presets,
+            "--reps", "1", "--out", str(tmp_path / "b"),
+        )
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+        assert not (tmp_path / "b").exists()
 
     def test_unwritable_out_dir_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

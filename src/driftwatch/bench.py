@@ -266,11 +266,12 @@ def training_window(
         if start is None:
             raise ProtocolError("scenario has no fulfillment phase to train on")
     tiny = 1e-9
-    idx = [
-        i
-        for i, b in enumerate(batches)
-        if b.start_t >= start - tiny and b.end_t <= end + tiny
-    ]
+    idx = []
+    for i, b in enumerate(batches):
+        if b.start_t >= start - tiny and b.end_t <= end + tiny:
+            idx.append(i)
+            if len(idx) == n_batches:
+                break  # later batches cannot change the window
     if len(idx) < n_batches:
         raise ProtocolError(
             f"{where} holds only {len(idx)} full batches; "
@@ -312,10 +313,9 @@ def protocol_steps(
         fit_cost = 0
 
 
-def run_record(model: ModelType, batches: Sequence[Batch], bi: int, verdict: DriftVerdict,
+def run_record(model: ModelType, bi: int, batch: Batch, verdict: DriftVerdict,
                truth: GroundTruth, compute_time: float, allocated_bytes: int = 0) -> RunRecord:
-    """The record of batch ``bi``'s verdict, labelled against truth."""
-    batch = batches[bi]
+    """The record of the verdict on ``batch``, batch ``bi``, labelled against truth."""
     return RunRecord(model=model, batch_index=bi, batch_start_t=batch.start_t,
                      batch_end_t=batch.end_t, verdict=verdict, truth=label_batch(batch, truth),
                      compute_time=compute_time, allocated_bytes=allocated_bytes)
@@ -326,7 +326,7 @@ def _run_scenario(
     detectors: Mapping[str, DriftDetector] | Iterable[DriftDetector] | DriftDetector,
     protocol: BenchProtocol,
     traced_records: int | None = None,
-) -> tuple[dict[str, list[RunRecord]], Series, GroundTruth, list[Batch]]:
+) -> tuple[dict[str, list[RunRecord]], Series, GroundTruth, Sequence[Batch]]:
     """Run the protocol timed and untraced, then replay its first
     ``traced_records`` records (all when None) on a fresh clone under
     allocation tracing to fill ``allocated_bytes``.  A record's compute time
@@ -347,7 +347,7 @@ def _run_scenario(
         peaks = [fit + evaluate for _, _, fit, evaluate in traced]
         peaks += [0] * (len(timed) - len(peaks))
         by_model[name] = [
-            run_record(model, batches, bi, verdict, truth, fit + evaluate, nbytes)
+            run_record(model, bi, batches[bi], verdict, truth, fit + evaluate, nbytes)
             for (bi, verdict, fit, evaluate), nbytes in zip(timed, peaks)
         ]
     return by_model, series, truth, batches

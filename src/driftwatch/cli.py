@@ -252,7 +252,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             )
         )
         if truth is not None:
-            records.append(run_record(model, batches, bi, verdict, truth, seconds))
+            records.append(run_record(model, bi, batch, verdict, truth, seconds))
     if truth is not None:
         # JSON has no infinity: a drift never detected has a null delay
         scores = {k: _json_value(v) for k, v in score_run(records, truth).items()}

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -92,18 +92,11 @@ class PhaseSpec:
             raise ScenarioError(f"{self.kind.value} phases cannot fluctuate; fluctuation_amp must be 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "kind": self.kind.value}
+        return _to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PhaseSpec":
-        return cls(
-            kind=PhaseKind(d["kind"]),
-            duration=float(d["duration"]),
-            base_level=float(d["base_level"]),
-            end_level=None if d.get("end_level") is None else float(d["end_level"]),
-            noise_std=None if d.get("noise_std") is None else float(d["noise_std"]),
-            fluctuation_amp=float(d.get("fluctuation_amp", 0.0)),
-        )
+        return _from_doc(cls, d)
 
 
 @dataclass(frozen=True)
@@ -129,7 +122,7 @@ class ScenarioSpec:
         return replace(self, seed=int(seed))
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "phases": [p.to_dict() for p in self.phases]}
+        return _to_doc(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -137,12 +130,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":
         try:
-            return cls(
-                intent_tag=str(d["intent_tag"]),
-                phases=tuple(PhaseSpec.from_dict(p) for p in d["phases"]),
-                sample_period=float(d.get("sample_period", 1.0)),
-                seed=int(d.get("seed", 0)),
-            )
+            return _from_doc(cls, d)
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"invalid scenario document: {exc}") from exc
 
@@ -196,10 +184,7 @@ class GroundTruth:
         return tuple(b.start_t for b in self.boundaries if b.kind is PhaseKind.DRIFT)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "boundaries": [{"start_t": b.start_t, "kind": b.kind.value} for b in self.boundaries],
-            "end_t": self.end_t,
-        }
+        return _to_doc(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -207,10 +192,7 @@ class GroundTruth:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GroundTruth":
         try:
-            bounds = tuple(
-                PhaseBoundary(float(b["start_t"]), PhaseKind(b["kind"])) for b in d["boundaries"]
-            )
-            return cls(bounds, float(d["end_t"]))
+            return _from_doc(cls, d)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"invalid ground-truth document: {exc}") from exc
 
@@ -223,6 +205,38 @@ class GroundTruth:
         if not isinstance(doc, dict):
             raise ScenarioError("ground-truth JSON must be an object")
         return cls.from_dict(doc)
+
+
+def _to_doc(value: Any) -> Any:
+    """A scenario record as JSON holds it: a dataclass as an object of its
+    fields in declaration order, a tuple as a list, a phase kind by its value."""
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(item) for item in value]
+    return value.value if isinstance(value, PhaseKind) else value
+
+
+def _from_doc(cls: type, doc: dict[str, Any]) -> Any:
+    """Build dataclass cls from what :func:`_to_doc` writes.
+
+    A field with a default may be missing.  Each value is coerced to its
+    annotation: ``X | None`` keeps a null, ``tuple[R, ...]`` reads a list
+    of R records, and any other type (float, int, str, PhaseKind) is called
+    on the value.  A missing required key raises KeyError.
+    """
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _coerce(hints[f.name], doc[f.name])
+                  for f in fields(cls) if f.name in doc or f.default is MISSING})
+
+
+def _coerce(kind: Any, value: Any) -> Any:
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        return tuple(_from_doc(args[0], item) for item in value)
+    if args:  # X | None
+        return None if value is None else _coerce(args[0], value)
+    return kind(value)
 
 
 def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:

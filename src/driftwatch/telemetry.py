@@ -8,7 +8,9 @@ are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
@@ -123,7 +125,9 @@ class Batch:
 
     ``values`` is kept as a read-only float64 array: a read-only input (a
     view of a series column) as it is, anything else as a copy.  Batches
-    compare by identity.
+    compare by identity, and :func:`batchify`'s result builds a new batch on
+    every access, so two reads of the same window give batches that hold the
+    same numbers but compare unequal.
     """
 
     start_t: float
@@ -270,28 +274,64 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def batchify(series: Series, batch_len: float = 9.0, stride: float = 9.0) -> list[Batch]:
+def batchify(series: Series, batch_len: float = 9.0, stride: float = 9.0) -> Sequence[Batch]:
     """Cut a series into windows [i*stride, i*stride + batch_len).
 
     Windows whose full span does not fit inside the series (the series end is
     the last timestamp plus the median sample gap) are dropped, as are windows
     that contain no samples.  Overlap (stride < batch_len) and gaps
     (stride > batch_len) are both allowed.
+
+    The result is a read-only sequence that keeps the window starts and
+    sample ranges as arrays and builds each :class:`Batch` when it is read;
+    a slice of it is a list.
     """
     batch_len = check_positive(batch_len, "batch_len")
     stride = check_positive(stride, "stride")
     times, values = series.times(), series.values()
-    span_end = float(times[-1] + np.median(np.diff(times))) if times.size >= 2 else float(times[-1])
+    span_end = float(times[-1] + _median(np.diff(times))) if times.size >= 2 else float(times[-1])
     limit = span_end + 1e-9 * max(1.0, batch_len)
     starts = np.arange(int(limit // stride) + 2) * stride
     starts = starts[starts + batch_len <= limit]
-    lo = np.searchsorted(times, starts, side="left").tolist()
-    hi = np.searchsorted(times, starts + batch_len, side="left").tolist()
-    return [
-        Batch(start, start + batch_len, values[a:b])
-        for start, a, b in zip(starts.tolist(), lo, hi)
-        if b > a
-    ]
+    lo = np.searchsorted(times, starts, side="left")
+    hi = np.searchsorted(times, starts + batch_len, side="left")
+    filled = hi > lo
+    return _Batches(values, batch_len, starts[filled], lo[filled], hi[filled])
+
+
+def _median(a: np.ndarray) -> np.float64:
+    """``np.median(a)`` of a NaN-free float array, partitioning ``a`` in place.
+
+    Like numpy, it takes the mean of the middle one or two values; unlike
+    ``np.median`` it neither copies ``a`` nor imports ``numpy.ma`` for a NaN
+    check.
+    """
+    mid, odd = divmod(a.size, 2)
+    a.partition([mid] if odd else [mid - 1, mid])
+    return np.mean(a[mid - 1 + odd:mid + 1])
+
+
+class _Batches(Sequence):
+    """:func:`batchify`'s windows: window i covers [starts[i], starts[i] +
+    batch_len) and holds ``values[lo[i]:hi[i]]``.  Indexing builds the
+    :class:`Batch`; a slice gives a list of them."""
+
+    __slots__ = ("_values", "_batch_len", "_starts", "_lo", "_hi")
+
+    def __init__(self, values: np.ndarray, batch_len: float, starts: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray) -> None:
+        self._values, self._batch_len = values, batch_len
+        self._starts, self._lo, self._hi = starts, lo, hi
+
+    def __len__(self) -> int:
+        return self._starts.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        start = float(self._starts[i])  # IndexError past either end, as on a list
+        return Batch(start, start + self._batch_len, self._values[self._lo[i]:self._hi[i]])
 
 
 def batch_stats(batch: Batch) -> BatchStats:

@@ -524,3 +524,23 @@ def render_csv_reference(times, values, header: bool = True) -> str:
     """The CSV wire format, one row per sample from whole-column lists."""
     rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(list(map(float, times)), list(map(float, values))))
     return ("t,kbps\n" if header else "") + rows
+
+
+def batchify_reference(series, batch_len: float, stride: float) -> list:
+    """The eager batch list: one Batch per non-empty window that fits inside
+    the series span (last timestamp plus np.median of the sample gaps)."""
+    from driftwatch.telemetry import Batch
+
+    batch_len, stride = float(batch_len), float(stride)
+    times, values = series.times(), series.values()
+    span_end = float(times[-1] + np.median(np.diff(times))) if times.size >= 2 else float(times[-1])
+    limit = span_end + 1e-9 * max(1.0, batch_len)
+    starts = np.arange(int(limit // stride) + 2) * stride
+    starts = starts[starts + batch_len <= limit]
+    lo = np.searchsorted(times, starts, side="left").tolist()
+    hi = np.searchsorted(times, starts + batch_len, side="left").tolist()
+    return [
+        Batch(start, start + batch_len, values[a:b])
+        for start, a, b in zip(starts.tolist(), lo, hi)
+        if b > a
+    ]

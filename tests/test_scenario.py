@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from driftwatch.scenario import (
     PRESETS,
     GroundTruth,
+    PhaseBoundary,
     PhaseKind,
     PhaseSpec,
     ScenarioError,
@@ -200,6 +202,46 @@ class TestSerialization:
     def test_truth_json_round_trip(self):
         _, truth = generate(preset_qos())
         assert GroundTruth.from_json(truth.to_json()) == truth
+
+    @staticmethod
+    def assert_no_default_left(record):
+        """Every field with a default differs from what a record built from
+        the required fields alone would hold, so a reader that drops a field
+        gives a record that compares unequal."""
+        required = {f.name: getattr(record, f.name) for f in fields(record) if f.default is MISSING}
+        minimal = type(record)(**required)
+        for f in fields(record):
+            if f.default is not MISSING:
+                assert getattr(record, f.name) != getattr(minimal, f.name), f.name
+
+    def test_every_field_round_trips(self):
+        phase = PhaseSpec(PhaseKind.DRIFT, 12.5, 800.0, end_level=650.0, noise_std=7.25,
+                          fluctuation_amp=33.0)
+        spec = ScenarioSpec("every-field", (phase, PhaseSpec(PhaseKind.FAILURE, 4.0, 0.0)),
+                            sample_period=0.25, seed=17)
+        truth = GroundTruth((PhaseBoundary(0.0, PhaseKind.FULFILLMENT),
+                             PhaseBoundary(12.5, PhaseKind.DRIFT)), end_t=16.5)
+        for record in (phase, spec):
+            self.assert_no_default_left(record)
+        for record in (phase, spec, truth):
+            assert list(record.to_dict()) == [f.name for f in fields(record)]
+        assert PhaseSpec.from_dict(phase.to_dict()) == phase
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert GroundTruth.from_json(truth.to_json()) == truth
+        assert truth.to_dict() == {"boundaries": [{"start_t": 0.0, "kind": "fulfillment"},
+                                                  {"start_t": 12.5, "kind": "drift"}],
+                                   "end_t": 16.5}
+
+    def test_missing_optional_keys_take_the_defaults(self):
+        doc = {"intent_tag": "x", "phases": [{"kind": "drift", "duration": 3, "base_level": 40}]}
+        spec = ScenarioSpec.from_dict(doc)
+        assert spec == ScenarioSpec("x", (PhaseSpec(PhaseKind.DRIFT, 3.0, 40.0),))
+        assert (spec.sample_period, spec.seed) == (1.0, 0)
+        phase = spec.phases[0]
+        assert (phase.end_level, phase.noise_std, phase.fluctuation_amp) == (40.0, 2.0, 0.0)
+        nulls = {"kind": "normal", "duration": 2, "base_level": 10, "end_level": None,
+                 "noise_std": None}
+        assert PhaseSpec.from_dict(nulls) == PhaseSpec(PhaseKind.NORMAL, 2.0, 10.0)
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ScenarioError):

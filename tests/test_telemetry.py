@@ -1,6 +1,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from collections import deque
 from types import SimpleNamespace
@@ -20,7 +24,7 @@ from driftwatch.telemetry import (
     render_csv,
 )
 
-from oracles import render_csv_reference
+from oracles import batchify_reference, render_csv_reference
 
 
 def make_series(values, period=1.0):
@@ -340,6 +344,100 @@ class TestBatchify:
             batchify(series, 0, 9)
         with pytest.raises(ValueError):
             batchify(series, 9, -1)
+
+
+def assert_same_batches(lazy, eager):
+    """Field for field: Python-float bounds, bit-equal read-only values."""
+    assert len(lazy) == len(eager)
+    for got, want in zip(lazy, eager):
+        assert type(got.start_t) is float and type(got.end_t) is float
+        assert (got.start_t, got.end_t) == (want.start_t, want.end_t)
+        assert got.values.dtype == np.float64 and not got.values.flags.writeable
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestLazyBatches:
+    """batchify keeps arrays and builds each Batch on access; the batches
+    must be the ones the eager list comprehension built."""
+
+    @pytest.mark.parametrize("stride", [2.5, 9.0, 9.000001, 13.0])
+    def test_matches_the_eager_list(self, stride):
+        rng = np.random.default_rng(11)
+        series = Series(np.stack((np.cumsum(rng.uniform(0.2, 0.8, 500)), rng.uniform(0, 1e3, 500)), 1))
+        lazy, eager = batchify(series, 9.0, stride), batchify_reference(series, 9.0, stride)
+        assert len(eager) > 10
+        assert_same_batches(lazy, eager)
+        assert_same_batches([lazy[i] for i in range(len(lazy))], eager)
+
+    def test_empty_window_and_single_sample(self):
+        samples = tuple(ThroughputSample(float(t), t + 1.0) for t in [*range(5), *range(20, 25)])
+        for series in (Series(samples), make_series([3.0]), make_series([3.0], period=0.25)):
+            for length, stride in ((5, 5), (1, 1), (5, 3), (0.5, 7)):
+                assert_same_batches(batchify(series, length, stride),
+                                    batchify_reference(series, length, stride))
+
+    def test_indexing_as_on_a_list(self):
+        batches = batchify(make_series(range(45)), 9, 9)
+        eager = batchify_reference(make_series(range(45)), 9, 9)
+        assert len(batches) == 5
+        for i in range(-5, 5):
+            assert_same_batches([batches[i]], [eager[i]])
+        assert_same_batches([batches[np.int64(-2)]], [eager[-2]])
+        for index in (5, -6, 100):
+            with pytest.raises(IndexError):
+                batches[index]
+        with pytest.raises(TypeError):
+            batches[1.0]
+        for cut in (slice(None), slice(1, 3), slice(None, None, -2), slice(-2, 99), slice(4, 1)):
+            part = batches[cut]
+            assert type(part) is list
+            assert_same_batches(part, eager[cut])
+        assert_same_batches(list(reversed(batches)), eager[::-1])
+
+    def test_read_only(self):
+        batches = batchify(make_series(range(18)), 9, 9)
+        with pytest.raises(TypeError):
+            batches[0] = batches[1]
+        with pytest.raises(AttributeError):
+            batches.extra = 1
+
+    def test_median_gap_is_numpys(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 4, 7, 10, 101, 1000):
+            for steps in (rng.uniform(0.1, 2.0, n + 1), rng.choice([0.5, 0.25, 1.0, 0.3], n + 1)):
+                gaps = np.diff(np.cumsum(steps))
+                want = np.median(gaps)
+                got = telemetry._median(gaps.copy())
+                assert type(got) is type(want) and got == want
+
+    def test_pipeline_leaves_numpy_ma_unimported(self):
+        script = textwrap.dedent(r"""
+            import io, sys
+            from driftwatch import DriftDetector
+            from driftwatch.telemetry import batchify, concat_values, ingest_csv
+            body = "t,kbps\n" + "".join(f"{i * 0.5},{100 + i % 7}\n" for i in range(400))
+            batches = batchify(ingest_csv(io.BytesIO(body.encode())), 9, 9)
+            det = DriftDetector("dbscan").fit(concat_values(batches[:5]))
+            det.evaluate(batches[-1].values)
+            print("numpy.ma" in sys.modules)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_24h_series_retains_little(self):
+        n = 172_800  # 24 h at 2 Hz
+        series = Series(np.stack((np.arange(n) * 0.5, np.full(n, 1e3)), 1))
+        batchify(series, 9, 9)  # imports and caches outside the traced call
+        tracemalloc.start()
+        try:
+            batches = batchify(series, 9, 9)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 9600
+        assert retained < 0.5 * 2**20
 
 
 class TestBatchStats:

@@ -47,10 +47,9 @@ def scenario_records(preset: str, seed: int, names) -> dict:
     from driftwatch.detectors import DriftDetector
     from driftwatch.scenario import PRESETS
 
-    by_model, _, _, _ = _run_scenario(PRESETS[preset]().with_seed(seed),
-                                      {name: DriftDetector(name) for name in names},
-                                      BenchProtocol(), traced_records=0)
-    return by_model
+    return _run_scenario(PRESETS[preset]().with_seed(seed),
+                         {name: DriftDetector(name) for name in names},
+                         BenchProtocol(), traced_records=0)[0]
 
 
 def collect(models: str, seeds: int) -> dict:

@@ -27,17 +27,17 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .detectors import RULES, DriftDetector, DriftVerdict, ModelType
 from .scenario import GroundTruth, PhaseKind, ScenarioSpec, generate, label_batch
 from .telemetry import Batch, Series, batchify, concat_values
-from .validation import check_count
+from .validation import check_count, from_doc, to_doc
 
 try:
     import tracemalloc
@@ -135,49 +135,18 @@ class BenchReport:
     def to_dict(self) -> dict[str, Any]:
         """The JSON document: every field in declaration order but the
         timelines, which :func:`emit_report` writes as CSV files."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        doc["per_model"] = {
-            name: {k: _json_value(v) for k, v in asdict(stats).items()}
-            for name, stats in self.per_model.items()
-        }
-        return doc
+        return to_doc(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "BenchReport":
-        per_model = {name: _from_json(ModelStats, s) for name, s in d["per_model"].items()}
-        return _from_json(cls, {**d, "per_model": per_model})
+        return from_doc(cls, d)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchReport":
         return cls.from_dict(json.loads(text))
-
-
-def _json_value(value: Any) -> Any:
-    """A report value as JSON holds it: a model by its name, an infinite
-    float as null (JSON has no infinity)."""
-    if isinstance(value, ModelType):
-        return value.value
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return value
-
-
-def _from_json(cls: type, doc: Mapping[str, Any]) -> Any:
-    """Build dataclass cls from the fields :meth:`BenchReport.to_dict` writes.
-
-    A field annotated int, float or str is coerced to that type, with null
-    read back as infinity for a float; a missing key raises KeyError and a
-    malformed number ValueError.
-    """
-    values = {f.name: doc[f.name] for f in fields(cls) if f.compare}
-    for name, kind in get_type_hints(cls).items():
-        if kind in (int, float, str):
-            value = values[name]
-            values[name] = math.inf if kind is float and value is None else kind(value)
-    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +266,19 @@ def protocol_steps(
 ):
     """Fit det on the training batches, then evaluate every later batch,
     refitting every ``protocol.refit_every`` evaluations on the batches just
-    before.  Yields (batch index, verdict, fit cost, evaluate cost) per
+    before.  Yields (batch index, batch, verdict, fit cost, evaluate cost) per
     evaluated batch; the fit cost covers the fits since the previous yield.
     ``call(fn, n)`` runs one fit or evaluate on n points and returns
     (result, cost); the default times it untraced, in seconds."""
     train = concat_values(batches[i] for i in train_idx)
     _, fit_cost = call(lambda: det.fit(train), train.size)
     for j, bi in enumerate(range(train_idx[-1] + 1, len(batches))):
-        values = batches[bi].values
+        batch = batches[bi]
         if protocol.refit_every > 0 and j > 0 and j % protocol.refit_every == 0:
             window = concat_values(batches[max(0, bi - protocol.train_window_batches):bi])
             _, fit_cost = call(lambda: det.fit(window), window.size)
-        verdict, cost = call(lambda: det.evaluate(values), len(values))
-        yield bi, verdict, fit_cost, cost
+        verdict, cost = call(lambda: det.evaluate(batch.values), len(batch.values))
+        yield bi, batch, verdict, fit_cost, cost
         fit_cost = 0
 
 
@@ -326,7 +295,7 @@ def _run_scenario(
     detectors: Mapping[str, DriftDetector] | Iterable[DriftDetector] | DriftDetector,
     protocol: BenchProtocol,
     traced_records: int | None = None,
-) -> tuple[dict[str, list[RunRecord]], Series, GroundTruth, Sequence[Batch]]:
+) -> tuple[dict[str, list[RunRecord]], Series, GroundTruth]:
     """Run the protocol timed and untraced, then replay its first
     ``traced_records`` records (all when None) on a fresh clone under
     allocation tracing to fill ``allocated_bytes``.  A record's compute time
@@ -344,13 +313,13 @@ def _run_scenario(
             _clone(proto), batches, train_idx, protocol,
             lambda fn, n: _allocation(model, fn, n),
         ), traced_records)
-        peaks = [fit + evaluate for _, _, fit, evaluate in traced]
+        peaks = [fit + evaluate for *_, fit, evaluate in traced]
         peaks += [0] * (len(timed) - len(peaks))
         by_model[name] = [
-            run_record(model, bi, batches[bi], verdict, truth, fit + evaluate, nbytes)
-            for (bi, verdict, fit, evaluate), nbytes in zip(timed, peaks)
+            run_record(model, bi, batch, verdict, truth, fit + evaluate, nbytes)
+            for (bi, batch, verdict, fit, evaluate), nbytes in zip(timed, peaks)
         ]
-    return by_model, series, truth, batches
+    return by_model, series, truth
 
 
 def run_scenario(
@@ -359,7 +328,7 @@ def run_scenario(
     protocol: BenchProtocol = BenchProtocol(),
 ) -> list[RunRecord]:
     """Run the sliding train/test protocol; one record per evaluated batch."""
-    by_model, _, _, _ = _run_scenario(spec, detectors, protocol)
+    by_model, _, _ = _run_scenario(spec, detectors, protocol)
     return [rec for records in by_model.values() for rec in records]
 
 
@@ -463,7 +432,7 @@ def compare_models(
     for s_index, (scenario_name, spec) in enumerate(scenarios.items()):
         for rep in range(repetitions):
             seeded = spec.with_seed(seed_base + rep)
-            by_model, series, truth, _ = _run_scenario(
+            by_model, series, truth = _run_scenario(
                 seeded, dets, protocol, traced_records=1 if rep == 0 else 0
             )
             for name, records in by_model.items():
@@ -528,7 +497,7 @@ def _ranked(per_model: Mapping[str, ModelStats], key) -> list[str]:
 
 
 def _jsonable_params(det: DriftDetector) -> dict[str, Any]:
-    return {k: _json_value(v) for k, v in det.get_params().items()}
+    return to_doc(det.get_params())
 
 
 def _timeline_rows(

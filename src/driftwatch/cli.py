@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .bench import (
     BenchProtocol,
-    _json_value,
     compare_models,
     emit_report,
     protocol_steps,
@@ -31,6 +30,7 @@ from .bench import (
 from .detectors import MODEL_NAMES, DriftDetector, ModelType, verdict_record
 from .scenario import PRESETS, GroundTruth, ScenarioSpec, generate
 from .telemetry import Series, batchify, ingest_csv, render_csv
+from .validation import to_doc
 
 _DETECTOR_FLAGS = (
     # (flag, param, type, help)
@@ -186,9 +186,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     truth_path = Path(args.out + ".truth.json")
     with csv_path.open("w", encoding="utf-8") as fh:
         render_csv(series, fh)
-    doc = truth.to_dict()
-    doc["intent_tag"] = spec.intent_tag
-    doc["seed"] = spec.seed
+    doc = {**truth.to_dict(), "intent_tag": spec.intent_tag, "seed": spec.seed}
     truth_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     _emit(
         {
@@ -243,8 +241,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     model = ModelType.coerce(args.model)
     detector = DriftDetector(model=args.model, **_detector_params(args))
     records = []
-    for bi, verdict, _, seconds in protocol_steps(detector, batches, train_idx, protocol):
-        batch = batches[bi]
+    for bi, batch, verdict, _, seconds in protocol_steps(detector, batches, train_idx, protocol):
         _emit(
             verdict_record(
                 args.model, verdict,
@@ -255,8 +252,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             records.append(run_record(model, bi, batch, verdict, truth, seconds))
     if truth is not None:
         # JSON has no infinity: a drift never detected has a null delay
-        scores = {k: _json_value(v) for k, v in score_run(records, truth).items()}
-        _emit({"summary": {"records": len(records), **scores}})
+        _emit({"summary": {"records": len(records), **to_doc(score_run(records, truth))}})
     return 0
 
 

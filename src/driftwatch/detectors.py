@@ -22,9 +22,8 @@ when it passes a threshold.  :data:`RULES` holds each model's rule:
 from __future__ import annotations
 
 import enum
-import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -99,85 +98,59 @@ class DriftVerdict:
     detail: str
 
 
+@dataclass(eq=False)
 class DriftDetector:
     """Estimator wrapping one drift-detection model.
 
     Parameters mirror the knobs of all eight models; each model reads only
-    the ones it needs.  Defaults: ``multiplier`` 2.0 (kmeans/gmm gap rule),
-    ``margin`` 0.25 (greedy), ``min_pts`` 4 and ``eps_factor`` 1.0 (dbscan,
-    eps = eps_factor * train std), ``threshold_fraction`` 0.1 of the train
-    mean (hierarchical), ``k_max`` 8 capping the silhouette search.
-    ``gamma_override`` replaces the automatic 1/(2*var) RBF width.
-    ``ap_multiplier`` scales the affinity-propagation cluster-count rule
-    (drift iff k_test > ceil(ap_multiplier * k_train)), and
-    ``ap_preference_override`` replaces the automatic preference (the lowest
-    pairwise similarity of the training batch, i.e. -(train range)^2).
-    ``seed`` is accepted and kept with the other parameters, but no model
-    draws random numbers: every fit and verdict is a function of the data.
+    the ones it needs: kmeans and gmm ``multiplier`` (gap rule) and
+    ``k_max`` (silhouette search cap); greedy ``margin``; dbscan ``min_pts``
+    and ``eps_factor`` (eps = eps_factor * train std); hierarchical
+    ``threshold_fraction`` (of the train mean) and ``linkage``; optics
+    ``min_samples``, ``min_cluster_size``, ``max_eps`` and ``cut_quantile``;
+    ocsvm ``nu`` and ``gamma_override`` (replaces the automatic 1/(2*var)
+    RBF width); affinity ``damping``, ``ap_max_iter``,
+    ``ap_convergence_iter``, ``ap_multiplier`` (drift iff k_test >
+    ceil(ap_multiplier * k_train)) and ``ap_preference_override`` (replaces
+    the automatic preference, the lowest pairwise training similarity).
+    ``seed`` is kept with the other parameters, but no model draws random
+    numbers: every fit and verdict is a function of the data.  Equality is
+    identity, as for any estimator.
     """
 
-    def __init__(
-        self,
-        model: ModelType | str = "dbscan",
-        *,
-        multiplier: float = 2.0,
-        margin: float = 0.25,
-        min_pts: int = 4,
-        eps_factor: float = 1.0,
-        threshold_fraction: float = 0.1,
-        linkage: str = "average",
-        min_samples: int = 3,
-        min_cluster_size: int = 3,
-        max_eps: float = math.inf,
-        cut_quantile: float = 0.75,
-        nu: float = 0.1,
-        gamma_override: float | None = None,
-        damping: float = 0.9,
-        ap_multiplier: float = 1.0,
-        ap_preference_override: float | None = None,
-        ap_max_iter: int = 500,
-        ap_convergence_iter: int = 15,
-        k_max: int = 8,
-        seed: int = 0,
-    ) -> None:
-        self.model = model
-        self.multiplier = multiplier
-        self.margin = margin
-        self.min_pts = min_pts
-        self.eps_factor = eps_factor
-        self.threshold_fraction = threshold_fraction
-        self.linkage = linkage
-        self.min_samples = min_samples
-        self.min_cluster_size = min_cluster_size
-        self.max_eps = max_eps
-        self.cut_quantile = cut_quantile
-        self.nu = nu
-        self.gamma_override = gamma_override
-        self.damping = damping
-        self.ap_multiplier = ap_multiplier
-        self.ap_preference_override = ap_preference_override
-        self.ap_max_iter = ap_max_iter
-        self.ap_convergence_iter = ap_convergence_iter
-        self.k_max = k_max
-        self.seed = seed
-
-    _PARAM_NAMES: tuple[str, ...] = ()  # filled in right after the class body
+    model: ModelType | str = "dbscan"
+    _: KW_ONLY
+    multiplier: float = 2.0
+    margin: float = 0.25
+    min_pts: int = 4
+    eps_factor: float = 1.0
+    threshold_fraction: float = 0.1
+    linkage: str = "average"
+    min_samples: int = 3
+    min_cluster_size: int = 3
+    max_eps: float = math.inf
+    cut_quantile: float = 0.75
+    nu: float = 0.1
+    gamma_override: float | None = None
+    damping: float = 0.9
+    ap_multiplier: float = 1.0
+    ap_preference_override: float | None = None
+    ap_max_iter: int = 500
+    ap_convergence_iter: int = 15
+    k_max: int = 8
+    seed: int = 0
 
     # -- scikit-learn estimator plumbing ------------------------------------
 
     def get_params(self, deep: bool = True) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params: Any) -> "DriftDetector":
         for name, value in params.items():
-            if name not in self._PARAM_NAMES:
+            if name not in self.__dataclass_fields__:
                 raise ValueError(f"unknown parameter {name!r} for DriftDetector")
             setattr(self, name, value)
         return self
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"DriftDetector({shown})"
 
     # -- core contract -------------------------------------------------------
 
@@ -207,9 +180,6 @@ class DriftDetector:
 
     def predict(self, X) -> bool:
         return self.evaluate(X).drift
-
-
-DriftDetector._PARAM_NAMES = tuple(inspect.signature(DriftDetector.__init__).parameters)[1:]
 
 
 # -- the rule table: the one place a model's rule lives ------------------------

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from typing import Any, get_args, get_origin, get_type_hints
+import math
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
 from .telemetry import Batch, Series
-from .validation import check_positive
+from .validation import check_positive, from_doc, to_doc
 
 __all__ = [
     "ScenarioError",
@@ -74,14 +75,15 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PhaseKind):
             object.__setattr__(self, "kind", PhaseKind(self.kind))
-        if not self.duration > 0:
-            raise ScenarioError(f"phase duration must be > 0, got {self.duration}")
-        if self.base_level < 0:
-            raise ScenarioError(f"base_level must be >= 0, got {self.base_level}")
         if self.end_level is None:
             object.__setattr__(self, "end_level", float(self.base_level))
         if self.noise_std is None:
             object.__setattr__(self, "noise_std", 0.05 * float(self.base_level))
+        _check_finite(self, "duration", "base_level", "end_level", "noise_std", "fluctuation_amp")
+        if not self.duration > 0:
+            raise ScenarioError(f"phase duration must be > 0, got {self.duration}")
+        if self.base_level < 0:
+            raise ScenarioError(f"base_level must be >= 0, got {self.base_level}")
         if self.noise_std < 0:
             raise ScenarioError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.fluctuation_amp < 0:
@@ -92,11 +94,11 @@ class PhaseSpec:
             raise ScenarioError(f"{self.kind.value} phases cannot fluctuate; fluctuation_amp must be 0")
 
     def to_dict(self) -> dict[str, Any]:
-        return _to_doc(self)
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "PhaseSpec":
-        return _from_doc(cls, d)
+        return _load(cls, d, "phase")
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class ScenarioSpec:
         object.__setattr__(self, "phases", tuple(self.phases))
         if not self.phases:
             raise ScenarioError("scenario needs at least one phase")
+        _check_finite(self, "sample_period")
         check_positive(self.sample_period, "sample_period")
 
     @property
@@ -122,27 +125,18 @@ class ScenarioSpec:
         return replace(self, seed=int(seed))
 
     def to_dict(self) -> dict[str, Any]:
-        return _to_doc(self)
+        return to_doc(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":
-        try:
-            return _from_doc(cls, d)
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"invalid scenario document: {exc}") from exc
+        return _load(cls, d, "scenario")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario JSON must be an object")
-        return cls.from_dict(doc)
+        return cls.from_dict(_parse(text, "scenario"))
 
 
 @dataclass(frozen=True)
@@ -160,11 +154,12 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
+        _check_finite(self, "end_t")
         if not self.boundaries or self.boundaries[0].start_t != 0.0:
             raise ScenarioError("ground truth must start at t = 0")
         starts = [b.start_t for b in self.boundaries]
-        if sorted(starts) != starts:
-            raise ScenarioError("boundaries must be ordered by start time")
+        if sorted(starts) != starts or not all(map(math.isfinite, starts)):
+            raise ScenarioError(f"boundaries must be ordered by finite start times, got {starts}")
 
     def phase_at(self, t: float) -> PhaseKind:
         if t < 0 or t >= self.end_t + 1e-9:
@@ -184,59 +179,44 @@ class GroundTruth:
         return tuple(b.start_t for b in self.boundaries if b.kind is PhaseKind.DRIFT)
 
     def to_dict(self) -> dict[str, Any]:
-        return _to_doc(self)
+        return to_doc(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GroundTruth":
-        try:
-            return _from_doc(cls, d)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"invalid ground-truth document: {exc}") from exc
+        return _load(cls, d, "ground-truth")
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid ground-truth JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ScenarioError("ground-truth JSON must be an object")
-        return cls.from_dict(doc)
+        return cls.from_dict(_parse(text, "ground-truth"))
 
 
-def _to_doc(value: Any) -> Any:
-    """A scenario record as JSON holds it: a dataclass as an object of its
-    fields in declaration order, a tuple as a list, a phase kind by its value."""
-    if is_dataclass(value):
-        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_doc(item) for item in value]
-    return value.value if isinstance(value, PhaseKind) else value
+def _check_finite(record: Any, *names: str) -> None:
+    """Raise ScenarioError naming the first of record's fields that is not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{name} must be finite, got {value}")
 
 
-def _from_doc(cls: type, doc: dict[str, Any]) -> Any:
-    """Build dataclass cls from what :func:`_to_doc` writes.
-
-    A field with a default may be missing.  Each value is coerced to its
-    annotation: ``X | None`` keeps a null, ``tuple[R, ...]`` reads a list
-    of R records, and any other type (float, int, str, PhaseKind) is called
-    on the value.  A missing required key raises KeyError.
-    """
-    hints = get_type_hints(cls)
-    return cls(**{f.name: _coerce(hints[f.name], doc[f.name])
-                  for f in fields(cls) if f.name in doc or f.default is MISSING})
+def _parse(text: str, what: str) -> dict[str, Any]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{what} JSON must be an object")
+    return doc
 
 
-def _coerce(kind: Any, value: Any) -> Any:
-    args = get_args(kind)
-    if get_origin(kind) is tuple:
-        return tuple(_from_doc(args[0], item) for item in value)
-    if args:  # X | None
-        return None if value is None else _coerce(args[0], value)
-    return kind(value)
+def _load(cls: type, doc: dict[str, Any], what: str) -> Any:
+    """cls read from its JSON document; any fault in it is a ScenarioError."""
+    try:
+        return from_doc(cls, doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"invalid {what} document: {exc}") from exc
 
 
 def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:

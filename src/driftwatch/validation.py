@@ -1,8 +1,15 @@
-"""Input validation helpers shared by the estimators and clustering engines."""
+"""Input validation helpers shared by the estimators and clustering engines,
+and the one JSON codec of the package's records (:func:`to_doc` /
+:func:`from_doc`)."""
 
 from __future__ import annotations
 
-from typing import Any
+import enum
+import math
+import types
+from collections.abc import Mapping
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,3 +58,49 @@ def check_unit_fraction(value: float, name: str) -> float:
     if not 0 < value <= 1:
         raise ValueError(f"{name} must be in (0, 1], got {value}")
     return value
+
+
+def to_doc(value: Any) -> Any:
+    """A value as JSON holds it: a dataclass as an object of its compared
+    fields in declaration order, a mapping by item, a tuple or list as a
+    list, an enum by its value, and an infinite float as null (JSON has no
+    infinity)."""
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.compare}
+    if isinstance(value, Mapping):
+        return {k: to_doc(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_doc(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
+def from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
+    """Build dataclass cls from what :func:`to_doc` writes.
+
+    A field with a default may be missing; a missing required key raises
+    KeyError, and keys that are not fields are ignored.  Each value is read
+    by its annotation: ``X | None`` keeps a null, ``tuple[R, ...]`` and
+    ``dict[str, R]`` read R records when R is a dataclass, a float reads
+    null as infinity, and any other scalar type is called on the value.
+    """
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _read(hints[f.name], doc[f.name]) for f in fields(cls)
+                  if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
+
+
+def _read(kind: Any, value: Any) -> Any:
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, types.UnionType):  # X | None
+        return None if value is None else _read(args[0], value)
+    if origin is not None:
+        record = args[1] if origin is dict else args[0]
+        if not is_dataclass(record):
+            return value
+        if origin is dict:
+            return {k: from_doc(record, v) for k, v in value.items()}
+        return origin(from_doc(record, v) for v in value)
+    if kind is float and value is None:
+        return math.inf
+    return kind(value)

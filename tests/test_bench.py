@@ -36,6 +36,7 @@ from driftwatch.scenario import (
     generate,
     preset_qos,
 )
+from driftwatch import telemetry
 from driftwatch.telemetry import batchify, concat_values
 
 
@@ -160,6 +161,26 @@ class TestRunScenario:
         assert len(fixed) == len(sliding)
         # a sliding greedy reference adapts to the drift ramp, so verdicts differ
         assert [r.verdict.drift for r in fixed] != [r.verdict.drift for r in sliding]
+
+    @pytest.mark.parametrize("traced_records", [0, 1])
+    def test_each_evaluated_batch_is_built_once_per_pass(self, monkeypatch, traced_records):
+        """The timed pass builds every evaluated batch once and its record
+        reuses that batch; the traced pass builds only the batches it traces."""
+        built = Counter()
+        batch = telemetry.Batch
+
+        def counted(start_t, end_t, values):
+            built[start_t] += 1
+            return batch(start_t, end_t, values)
+
+        monkeypatch.setattr(telemetry, "Batch", counted)
+        models = ("greedy", "dbscan")
+        by_model, _, _ = _run_scenario(lifecycle_spec(), {m: DriftDetector(m) for m in models},
+                                       BenchProtocol(), traced_records=traced_records)
+        starts = [r.batch_start_t for r in by_model["greedy"]]
+        assert starts == [r.batch_start_t for r in by_model["dbscan"]]
+        traced = [1] * traced_records + [0] * (len(starts) - traced_records)
+        assert [built[t] for t in starts] == [len(models) * (1 + k) for k in traced]
 
     def test_compute_time_and_memory_recorded(self):
         records = run_scenario(drift_free_spec(), DriftDetector("dbscan"))
@@ -365,7 +386,7 @@ class TestCompareModels:
         detector = {"dbscan": DriftDetector("dbscan")}
         per_run = []
         for rep in range(3):
-            by_model, _, truth, _ = _run_scenario(
+            by_model, _, truth = _run_scenario(
                 lifecycle_spec().with_seed(rep), detector, BenchProtocol()
             )
             per_run.append(accuracy(by_model["dbscan"]))

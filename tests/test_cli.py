@@ -1,10 +1,11 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
-from driftwatch import cli
+from driftwatch import cli, telemetry
 from driftwatch.bench import BenchProtocol, _run_scenario, run_scenario, score_run
 from driftwatch.cli import _DETECTOR_FLAGS, main
 from driftwatch.detectors import DriftDetector
@@ -118,6 +119,26 @@ class TestGenerate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("key, text, reason", [
+        ("duration", "1e999", "duration must be finite, got inf"),
+        ("base_level", "NaN", "base_level must be finite, got nan"),
+        ("noise_std", "NaN", "noise_std must be finite, got nan"),
+        ("sample_period", "Infinity", "sample_period must be finite, got inf"),
+        ("kind", '"bogus"', "'bogus' is not a valid PhaseKind"),
+        ("duration", '"abc"', "could not convert string to float: 'abc'"),
+    ])
+    def test_spec_with_a_bad_number_or_kind_exits_2(self, tmp_path, capsys, key, text, reason):
+        doc = fulfillment_only_spec().to_dict()
+        (doc if key == "sample_period" else doc["phases"][0])[key] = "VALUE"
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(doc).replace('"VALUE"', text))
+        code, out, err = run_cli(
+            capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "cap")
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid scenario document: {reason}\n"
+        assert not (tmp_path / "cap.csv").exists()
+
     def test_env_seed_used_as_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DRIFTWATCH_SEED", "77")
         code, out, _ = run_cli(
@@ -211,6 +232,24 @@ class TestReplay:
         assert "summary" in lines[-1]
         summary = lines[-1]["summary"]
         assert {"records", "accuracy", "false_positive_rate", "detection_delay"} <= set(summary)
+
+    def test_each_evaluated_batch_is_built_once(self, capsys, capture, monkeypatch):
+        built = Counter()
+        batch = telemetry.Batch
+
+        def counted(start_t, end_t, values):
+            built[start_t] += 1
+            return batch(start_t, end_t, values)
+
+        monkeypatch.setattr(telemetry, "Batch", counted)
+        code, out, _ = run_cli(
+            capsys, "replay", "--model", "greedy",
+            "--csv", str(capture) + ".csv", "--truth", str(capture) + ".truth.json",
+        )
+        assert code == 0
+        *lines, summary = json_lines(out)
+        assert summary["summary"]["records"] == len(lines) > 0
+        assert [built[line["t_start"]] for line in lines] == [1] * len(lines)
 
     def test_malformed_truth_json_exit_2(self, tmp_path, capsys, capture):
         bad = tmp_path / "bad.truth.json"
@@ -382,7 +421,7 @@ class TestReplayIsTheBenchProtocol:
         assert code == 0
         *lines, last = json_lines(out)
 
-        by_model, _, truth, _ = _run_scenario(
+        by_model, _, truth = _run_scenario(
             spec, {model: DriftDetector(model)}, BenchProtocol(), traced_records=0
         )
         records = by_model[model]

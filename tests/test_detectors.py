@@ -1,3 +1,6 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,15 @@ from driftwatch.telemetry import Batch
 from oracles import dbscan_reference, mixture_data
 
 COUNT_MODELS = ("affinity", "dbscan", "hierarchical", "optics")
+# every keyword-only hyperparameter with its default, in declaration order
+PARAM_DEFAULTS = (
+    ("multiplier", 2.0), ("margin", 0.25), ("min_pts", 4), ("eps_factor", 1.0),
+    ("threshold_fraction", 0.1), ("linkage", "average"), ("min_samples", 3),
+    ("min_cluster_size", 3), ("max_eps", math.inf), ("cut_quantile", 0.75), ("nu", 0.1),
+    ("gamma_override", None), ("damping", 0.9), ("ap_multiplier", 1.0),
+    ("ap_preference_override", None), ("ap_max_iter", 500), ("ap_convergence_iter", 15),
+    ("k_max", 8), ("seed", 0),
+)
 
 
 def batch_of(values, start=0.0):
@@ -28,6 +40,30 @@ class TestEstimatorApi:
         assert params["multiplier"] == 3.0
         clone = DriftDetector(**params)
         assert clone.get_params() == params
+
+    def test_signature_repr_and_param_order_are_pinned(self):
+        sig = inspect.signature(DriftDetector)
+        assert [(p.name, p.kind, p.default) for p in sig.parameters.values()] == [
+            ("model", inspect.Parameter.POSITIONAL_OR_KEYWORD, "dbscan"),
+            *((name, inspect.Parameter.KEYWORD_ONLY, default) for name, default in PARAM_DEFAULTS),
+        ]
+        det = DriftDetector()
+        assert list(det.get_params()) == ["model", *(name for name, _ in PARAM_DEFAULTS)]
+        assert repr(det) == (
+            "DriftDetector(model='dbscan', multiplier=2.0, margin=0.25, min_pts=4, "
+            "eps_factor=1.0, threshold_fraction=0.1, linkage='average', min_samples=3, "
+            "min_cluster_size=3, max_eps=inf, cut_quantile=0.75, nu=0.1, gamma_override=None, "
+            "damping=0.9, ap_multiplier=1.0, ap_preference_override=None, ap_max_iter=500, "
+            "ap_convergence_iter=15, k_max=8, seed=0)"
+        )
+        with pytest.raises(TypeError):
+            DriftDetector("kmeans", 3.0)  # every hyperparameter is keyword-only
+
+    def test_equality_is_identity_and_detectors_hash(self):
+        a, b = DriftDetector(), DriftDetector()
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+        assert a in {a: 1}
 
     def test_set_params_chains_and_validates(self):
         det = DriftDetector()

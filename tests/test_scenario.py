@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import MISSING, fields
 
@@ -132,6 +133,58 @@ class TestPhaseSpecInvariants:
             PhaseSpec(PhaseKind.NORMAL, 0, 100)
 
 
+DRIFT_PHASE = {"kind": "drift", "duration": 9.0, "base_level": 100.0, "end_level": 120.0,
+               "noise_std": 2.0, "fluctuation_amp": 5.0}
+
+
+class TestNonFiniteNumbers:
+    """A non-finite number in a scenario is refused where the record is
+    built, by a ScenarioError that names the field."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["duration", "base_level", "end_level", "noise_std",
+                                      "fluctuation_amp"])
+    def test_each_phase_field(self, name, value):
+        with pytest.raises(ScenarioError, match=f"^{name} must be finite, got"):
+            PhaseSpec(**{**DRIFT_PHASE, name: value})
+
+    def test_a_non_finite_base_level_is_named_before_its_defaults(self):
+        with pytest.raises(ScenarioError, match="^base_level must be finite, got nan"):
+            PhaseSpec(PhaseKind.NORMAL, 10.0, np.nan)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_sample_period(self, value):
+        with pytest.raises(ScenarioError, match="^sample_period must be finite"):
+            ScenarioSpec("x", (PhaseSpec(**DRIFT_PHASE),), sample_period=value)
+
+    @pytest.mark.parametrize("name, text", [("duration", "1e999"), ("noise_std", "NaN"),
+                                            ("base_level", "-Infinity")])
+    def test_json_numbers_beyond_float_range(self, name, text):
+        phase = json.dumps({**DRIFT_PHASE, name: "VALUE"}).replace('"VALUE"', text)
+        with pytest.raises(ScenarioError, match=f"invalid scenario document: {name} must be finite"):
+            ScenarioSpec.from_json(f'{{"intent_tag": "x", "phases": [{phase}]}}')
+
+    def test_sample_period_json(self):
+        with pytest.raises(ScenarioError, match="sample_period must be finite"):
+            ScenarioSpec.from_json('{"intent_tag": "x", "phases": [], "sample_period": Infinity}'
+                                   .replace("[]", json.dumps([DRIFT_PHASE])))
+
+    def test_truth_end_time(self):
+        with pytest.raises(ScenarioError, match="invalid ground-truth document: end_t must be finite"):
+            GroundTruth.from_json('{"boundaries": [{"start_t": 0, "kind": "drift"}], "end_t": null}')
+
+    @pytest.mark.parametrize("start", ["null", "NaN", "Infinity"])
+    def test_truth_boundary_start(self, start):
+        doc = ('{"boundaries": [{"start_t": 0, "kind": "normal"}, {"start_t": START, "kind": "drift"}],'
+               ' "end_t": 10}').replace("START", start)
+        with pytest.raises(ScenarioError, match="boundaries must be ordered by finite start times"):
+            GroundTruth.from_json(doc)
+
+    def test_truth_boundaries_out_of_order(self):
+        with pytest.raises(ScenarioError, match=r"ordered by finite start times, got \[0.0, 5.0, 2.0\]"):
+            GroundTruth(tuple(PhaseBoundary(t, PhaseKind.NORMAL) for t in (0.0, 5.0, 2.0)), 9.0)
+
+
 class TestPresets:
     def test_security_structure(self):
         spec = preset_security()
@@ -248,6 +301,33 @@ class TestSerialization:
             ScenarioSpec.from_json("[1, 2]")
         with pytest.raises(ScenarioError):
             ScenarioSpec.from_json('{"intent_tag": "x"}')
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("kind", "bogus", "'bogus' is not a valid PhaseKind"),
+        ("duration", "abc", "could not convert string to float: 'abc'"),
+        ("base_level", None, "base_level must be finite, got inf"),  # a null float is infinity
+        ("duration", -1, "phase duration must be > 0"),
+    ])
+    def test_malformed_documents_name_the_document_and_the_fault(self, key, value, reason):
+        phase = {"kind": "drift", "duration": 9, "base_level": 100, key: value}
+        with pytest.raises(ScenarioError, match=f"^invalid phase document: {reason}"):
+            PhaseSpec.from_dict(phase)
+        with pytest.raises(ScenarioError, match=f"^invalid scenario document: {reason}"):
+            ScenarioSpec.from_dict({"intent_tag": "x", "phases": [phase]})
+        boundary = {"start_t": 0, "kind": value if key == "kind" else "drift"}
+        if key == "kind":
+            with pytest.raises(ScenarioError, match=f"^invalid ground-truth document: {reason}"):
+                GroundTruth.from_dict({"boundaries": [boundary], "end_t": 9})
+
+    @pytest.mark.parametrize("doc", [{"phases": []}, {"intent_tag": "x"}])
+    def test_missing_required_key_is_a_scenario_error(self, doc):
+        with pytest.raises(ScenarioError, match="^invalid scenario document: '(intent_tag|phases)'"):
+            ScenarioSpec.from_dict(doc)
+
+    def test_an_overflowing_integer_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match="^invalid scenario document: cannot convert"):
+            ScenarioSpec.from_json(json.dumps({"intent_tag": "x", "phases": [DRIFT_PHASE]})[:-1]
+                                   + ', "seed": 1e999}')
 
 
 class TestGenerateIsTheReference:

@@ -8,13 +8,18 @@ order.
 
 In 1-D every eps-neighbourhood is a contiguous range of the sorted values,
 and a component is a run of sorted core points whose gaps stay within eps.
-So one sort and a few binary searches replace the pairwise distance matrix
-(O(n log n) time, O(n) memory).  Only the range ends need a search: fl(|a - b|)
-is symmetric, so j <= i is in range of i iff i < end[j], and end is
-non-decreasing (rounded subtraction is monotone), so start[i] is the first j
-with end[j] > i.  Border points never create or merge a cluster, so
-:func:`dbscan_count` labels no point: the count is the number of runs,
-1 + #(gaps > eps between consecutive sorted core values), or 0.
+:func:`dbscan` labels from one sort and a few binary searches in place of the
+pairwise distance matrix (O(n log n) time, O(n) memory).  Only the range ends
+need a search: fl(|a - b|) is symmetric, so j <= i is in range of i iff
+i < end[j], and end is non-decreasing (rounded subtraction is monotone), so
+start[i] is the first j with end[j] > i.  Border points never create or merge
+a cluster, so :func:`dbscan_count` labels no point: the count is the number
+of runs, 1 + #(gaps > eps between consecutive sorted core values), or 0.  It
+takes them in one two-pointer sweep over the sorted Python floats: the same
+predicate on the same doubles, and both range ends only move forward, as
+rounded subtraction is monotone.  On an 18-point batch that pays none of
+numpy's per-call overhead; from about a hundred points on the searches would
+be faster.
 """
 
 from __future__ import annotations
@@ -70,10 +75,21 @@ def count_runs(x: np.ndarray, eps: float, min_pts: int) -> int:
     ``min_pts`` are checked here.  The count reads no order, so a plain sort
     serves."""
     eps, min_pts = _checked(eps, min_pts)
-    xs = np.sort(x)
-    start, end = _neighbourhoods(xs, eps)
-    runs = xs[end - start >= min_pts]
-    return int(np.count_nonzero(runs[1:] - runs[:-1] > eps)) + (runs.size > 0)
+    xs = sorted(x.tolist())
+    n = len(xs)
+    runs = lo = 0
+    hi = 1  # v's neighbourhood is xs[lo:hi]; both ends only move forward
+    last = 0.0  # the last core value, read once runs > 0
+    for v in xs:
+        while v - xs[lo] > eps:
+            lo += 1
+        while hi < n and xs[hi] - v <= eps:
+            hi += 1
+        if hi - lo >= min_pts:
+            if not runs or v - last > eps:
+                runs += 1
+            last = v
+    return runs
 
 
 def _checked(eps, min_pts) -> tuple[float, int]:

@@ -299,7 +299,8 @@ def _greedy_test(det, ref, x):
 
 #: Every model's rule.  Memory: affinity propagation holds four N x N matrices
 #: (similarity, responsibility, availability, scratch), hierarchical and ocsvm
-#: about two; dbscan, optics, kmeans and gmm stay linear in n (optics holds
+#: about two; dbscan, optics, kmeans and gmm stay linear in n (dbscan's count
+#: holds the values as Python floats and their sorted list, optics
 #: n x (2 * min_samples - 1) core-distance windows, kmeans and gmm the
 #: silhouette search's k_max x n tables); greedy a running maximum.
 RULES: dict[ModelType, Rule] = {
@@ -313,7 +314,7 @@ RULES: dict[ModelType, Rule] = {
     ),
     ModelType.DBSCAN: _count_rule(
         _dbscan_eps, lambda det, ref, x: count_runs(x, ref["eps"], det.min_pts),
-        lambda det, ref: f"eps={ref['eps']:.6g}, min_pts={det.min_pts}", memory=(9, 1),
+        lambda det, ref: f"eps={ref['eps']:.6g}, min_pts={det.min_pts}", memory=(4.5, 1),
     ),
     ModelType.HIERARCHICAL: _count_rule(
         _hierarchical_threshold,

@@ -83,7 +83,8 @@ def from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
     KeyError, and keys that are not fields are ignored.  Each value is read
     by its annotation: ``X | None`` keeps a null, ``tuple[R, ...]`` and
     ``dict[str, R]`` read R records when R is a dataclass, a float reads
-    null as infinity, and any other scalar type is called on the value.
+    null as infinity, and any other scalar type is called on the value; an
+    int refuses a bool and a number with a fraction (ValueError).
     """
     hints = get_type_hints(cls)
     return cls(**{f.name: _read(hints[f.name], doc[f.name]) for f in fields(cls)
@@ -103,4 +104,7 @@ def _read(kind: Any, value: Any) -> Any:
         return origin(from_doc(record, v) for v in value)
     if kind is float and value is None:
         return math.inf
-    return kind(value)
+    result = kind(value)
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and result != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return result

@@ -126,10 +126,12 @@ class TestGenerate:
         ("sample_period", "Infinity", "sample_period must be finite, got inf"),
         ("kind", '"bogus"', "'bogus' is not a valid PhaseKind"),
         ("duration", '"abc"', "could not convert string to float: 'abc'"),
+        ("seed", "2.7", "expected an integer, got 2.7"),
+        ("seed", "true", "expected an integer, got True"),
     ])
     def test_spec_with_a_bad_number_or_kind_exits_2(self, tmp_path, capsys, key, text, reason):
         doc = fulfillment_only_spec().to_dict()
-        (doc if key == "sample_period" else doc["phases"][0])[key] = "VALUE"
+        (doc if key in ("sample_period", "seed") else doc["phases"][0])[key] = "VALUE"
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps(doc).replace('"VALUE"', text))
         code, out, err = run_cli(

@@ -106,6 +106,13 @@ def test_scalars_are_coerced_to_their_annotation():
     assert stats.peak_memory_bytes == 4096 and isinstance(stats.accuracy, float)
     with pytest.raises(ValueError):
         from_doc(ModelStats, {**to_doc(STATS), "accuracy": "fast"})
+    assert from_doc(ModelStats, {**to_doc(STATS), "peak_memory_bytes": 4096.0}).peak_memory_bytes == 4096
+
+
+@pytest.mark.parametrize("value", [4096.9, -0.5, True, False])
+def test_an_int_field_refuses_a_fraction_or_a_bool(value):
+    with pytest.raises(ValueError, match=f"^expected an integer, got {value!r}$"):
+        from_doc(ModelStats, {**to_doc(STATS), "peak_memory_bytes": value})
 
 
 def test_mappings_are_written_by_item_and_sequences_as_lists():

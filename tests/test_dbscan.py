@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,40 @@ class TestDbscanCount:
         assert list(dbscan(data, np.inf, 2).labels) == [0, 0, 0]
         check_neighbourhoods(np.array(data), np.inf)
 
+    def test_random_sizes_up_to_2000(self):
+        # every size the sweep may meet, min_pts sometimes above n; the
+        # reference's closure is cubic in n, so it checks the small sets only
+        rng = np.random.default_rng(47)
+        for trial in range(60):
+            n = int(rng.integers(1, 2001 if trial % 2 else 41))
+            data = mixture_data(rng, n)
+            if rng.random() < 0.5:
+                data = np.round(data, int(rng.integers(0, 2)))
+            eps = float(rng.choice([0.1, 0.3, 1.0, 2.5, 8.0]))
+            min_pts = n + int(rng.integers(1, 3)) if rng.random() < 0.2 else int(rng.integers(1, 10))
+            count = dbscan_count(data, eps, min_pts)
+            assert count == dbscan(data, eps, min_pts).n_clusters
+            if n <= 40:
+                assert count == len(set(dbscan_reference(data, eps, min_pts)) - {NOISE})
+
+    @pytest.mark.parametrize("eps", [1.0, 1e308, np.inf])
+    def test_distances_that_overflow(self, eps):
+        # 1e308 - -1e308 rounds to inf: within eps = inf only.  The count
+        # subtracts Python floats, so it warns of no overflow.
+        for data in ([-1e308, 1e308], [-1e308, -1e308, 0.0, 1e308, 1e308]):
+            for min_pts in (1, 2, 3, 6):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    expected = dbscan(data, eps, min_pts).n_clusters
+                    assert expected == len(set(dbscan_reference(data, eps, min_pts)) - {NOISE})
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert dbscan_count(data, eps, min_pts) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [dbscan_count([-1e308, 1e308], eps, m) for m in (1, 2)] == (
+                [1, 1] if eps == np.inf else [2, 0])
+
     def test_errors(self):
         with pytest.raises(ValueError):
             dbscan_count([1, 2], eps=0, min_pts=2)
@@ -134,10 +170,14 @@ class TestDbscanBoundaryTies:
             for n in (5, 17, 40, 120):
                 data = 0.1 * np.arange(n)
                 covered += _bound_rounding_differs(data, eps)
-                for min_pts in (1, 2, 3, 4):
+                for min_pts in (1, 2, 3, 4, n + 1):
                     self.check(data, eps, min_pts)
                     self.check(rng.permutation(data), eps, min_pts)
         assert covered  # the grids do exercise the rounding mismatch
+        for n in (500, 2000):  # too large for the reference: the count against the labels
+            data = rng.permutation(0.1 * np.arange(n))
+            for eps, min_pts in ((0.1, 1), (0.1, 3), (0.3, 4), (0.3, 7), (0.3, 8)):
+                assert dbscan_count(data, eps, min_pts) == dbscan(data, eps, min_pts).n_clusters
 
     def test_rounded_mixtures_with_duplicates(self):
         rng = np.random.default_rng(17)

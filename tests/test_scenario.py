@@ -324,6 +324,13 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="^invalid scenario document: '(intent_tag|phases)'"):
             ScenarioSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("text, reason", [("2.7", "2.7"), ("true", "True"), ("-1.5", "-1.5")])
+    def test_a_fractional_or_boolean_seed_is_a_scenario_error(self, text, reason):
+        doc = json.dumps({"intent_tag": "x", "phases": [DRIFT_PHASE], "seed": "VALUE"})
+        with pytest.raises(ScenarioError, match=f"^invalid scenario document: expected an integer, got {reason}$"):
+            ScenarioSpec.from_json(doc.replace('"VALUE"', text))
+        assert ScenarioSpec.from_json(doc.replace('"VALUE"', "4.0")).seed == 4
+
     def test_an_overflowing_integer_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="^invalid scenario document: cannot convert"):
             ScenarioSpec.from_json(json.dumps({"intent_tag": "x", "phases": [DRIFT_PHASE]})[:-1]

@@ -4,6 +4,8 @@ Machine-consumable output is always single-line JSON on stdout; human tables
 go to stderr.  Exit codes: 0 success (or no drift for ``detect``), 1 drift
 detected (``detect`` only), 2 on any error.  The ``DRIFTWATCH_SEED``
 environment variable overrides default seeds when no --seed flag is given.
+Each subparser names its handler as ``run``; the detector flags are built
+from the knob fields of :class:`~driftwatch.detectors.DriftDetector`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -32,67 +35,38 @@ from .scenario import PRESETS, GroundTruth, ScenarioSpec, generate
 from .telemetry import Series, batchify, ingest_csv, render_csv
 from .validation import to_doc
 
-_DETECTOR_FLAGS = (
-    # (flag, param, type, help)
-    ("--multiplier", "multiplier", float, "kmeans/gmm gap multiplier (default 2.0)"),
-    ("--margin", "margin", float, "greedy headroom margin (default 0.25)"),
-    ("--min-pts", "min_pts", int, "dbscan neighborhood population (default 4)"),
-    ("--eps-factor", "eps_factor", float, "dbscan eps = factor * train std (default 1.0)"),
-    ("--threshold-fraction", "threshold_fraction", float,
-     "hierarchical threshold as a fraction of the train mean (default 0.1)"),
-    ("--linkage", "linkage", str, "hierarchical linkage: single|complete|average (default average)"),
-    ("--min-samples", "min_samples", int, "optics minimum samples (default 3)"),
-    ("--min-cluster-size", "min_cluster_size", int, "optics minimum cluster size (default 3)"),
-    ("--max-eps", "max_eps", float, "optics neighborhood cap (default unbounded)"),
-    ("--cut-quantile", "cut_quantile", float, "optics reachability cut quantile (default 0.75)"),
-    ("--nu", "nu", float, "ocsvm nu in (0, 1] (default 0.1)"),
-    ("--gamma", "gamma_override", float, "ocsvm RBF gamma (default 1/(2*train var))"),
-    ("--damping", "damping", float, "affinity propagation damping (default 0.9)"),
-    ("--ap-multiplier", "ap_multiplier", float, "affinity cluster-count multiplier (default 1.0)"),
-    ("--ap-preference", "ap_preference_override", float,
-     "affinity preference (default: lowest pairwise train similarity)"),
-    ("--ap-max-iter", "ap_max_iter", int, "affinity message-passing iteration cap (default 500)"),
-    ("--ap-convergence-iter", "ap_convergence_iter", int,
-     "affinity sweeps with a stable exemplar set before convergence (default 15)"),
-    ("--k-max", "k_max", int, "silhouette search upper bound (default 8)"),
-)
+#: (flag, field) of every detector knob, the DriftDetector fields with help text.
+_KNOBS = tuple((f.metadata["flag"] or "--" + f.name.replace("_", "-"), f)
+               for f in fields(DriftDetector) if "help" in f.metadata)
 
 
 def _add_detector_flags(sp: argparse.ArgumentParser) -> None:
-    for flag, param, typ, help_text in _DETECTOR_FLAGS:
-        sp.add_argument(flag, dest=param, type=typ, default=None, help=help_text)
+    for flag, f in _KNOBS:
+        shown = "" if f.default is None else f" (default {f.default})"
+        sp.add_argument(flag, dest=f.name, type=float if f.default is None else type(f.default),
+                        default=None, help=f.metadata["help"] + shown)
     sp.add_argument("--seed", type=int, default=None,
                     help="seed (default 0, or DRIFTWATCH_SEED); no detector draws random "
                          "numbers, so only bench uses it, as its first scenario seed")
 
 
 def _detector_params(args: argparse.Namespace) -> dict:
-    params = {}
-    for _, param, _, _ in _DETECTOR_FLAGS:
-        value = getattr(args, param, None)
-        if value is not None:
-            params[param] = value
+    params = {f.name: v for _, f in _KNOBS if (v := getattr(args, f.name)) is not None}
     params["seed"] = _resolve_seed(args, fallback=0)
     return params
 
 
-def _env_seed() -> int | None:
+def _resolve_seed(args: argparse.Namespace, fallback: int | None) -> int | None:
+    """--seed, else DRIFTWATCH_SEED when set and not empty, else fallback."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("DRIFTWATCH_SEED")
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return fallback
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"DRIFTWATCH_SEED must be an integer, got {raw!r}") from None
-
-
-def _resolve_seed(args: argparse.Namespace, fallback: int | None) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = _env_seed()
-    if env is not None:
-        return env
-    return fallback
 
 
 def _emit(obj: dict) -> None:
@@ -110,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect gradual drift of an enforced network intent from throughput telemetry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    protocol = BenchProtocol()  # the replay and bench protocol defaults
 
     gen = sub.add_parser("generate", help="generate a synthetic intent-lifecycle capture")
     src = gen.add_mutually_exclusive_group(required=True)
@@ -117,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="path to a scenario JSON document")
     gen.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     gen.add_argument("--out", required=True, help="output base path (writes <out>.csv and <out>.truth.json)")
+    gen.set_defaults(run=_cmd_generate)
 
     det = sub.add_parser("detect", help="single-shot drift detection on two captures")
     det.add_argument("--model", required=True, choices=MODEL_NAMES)
@@ -124,26 +100,29 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--test", required=True, help="test capture CSV")
     det.add_argument("--pretty", action="store_true", help="also print a human summary to stderr")
     _add_detector_flags(det)
+    det.set_defaults(run=_cmd_detect)
 
     rep = sub.add_parser("replay", help="stream batch verdicts over a capture")
     rep.add_argument("--model", required=True, choices=MODEL_NAMES)
     rep.add_argument("--csv", required=True, help="capture CSV to replay")
     rep.add_argument("--truth", default=None, help="ground-truth JSON for scoring")
-    rep.add_argument("--batch-len", type=float, default=9.0)
+    rep.add_argument("--batch-len", type=float, default=protocol.batch_len)
     rep.add_argument("--stride", type=float, default=None,
                      help="batch stride, at least the batch length (default: batch length)")
-    rep.add_argument("--train-batches", type=int, default=5)
+    rep.add_argument("--train-batches", type=int, default=protocol.train_window_batches)
     _add_detector_flags(rep)
+    rep.set_defaults(run=_cmd_replay)
 
     ben = sub.add_parser("bench", help="run the full model comparison over scenario presets")
     ben.add_argument("--models", default="all", help="comma-separated model names or 'all'")
     ben.add_argument("--presets", default="all", help="comma-separated preset names or 'all'")
     ben.add_argument("--reps", type=int, default=5, help="repetition seeds per scenario")
     ben.add_argument("--out", required=True, help="report output directory")
-    ben.add_argument("--train-batches", type=int, default=5)
-    ben.add_argument("--batch-len", type=float, default=9.0)
-    ben.add_argument("--refit-every", type=int, default=0)
+    ben.add_argument("--train-batches", type=int, default=protocol.train_window_batches)
+    ben.add_argument("--batch-len", type=float, default=protocol.batch_len)
+    ben.add_argument("--refit-every", type=int, default=protocol.refit_every)
     _add_detector_flags(ben)
+    ben.set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -153,15 +132,7 @@ _main_parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _main_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

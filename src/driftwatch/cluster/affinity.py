@@ -44,6 +44,8 @@ def affinity_propagation(
         raise ValueError(f"damping must be in [0.5, 1), got {damping}")
     check_count(max_iter, "max_iter", minimum=1)
     check_count(convergence_iter, "convergence_iter", minimum=1)
+    if preference is not None and not np.isfinite(preference):
+        raise ValueError(f"preference must be finite, got {preference}")
     n = x.size
     if n == 1:
         return from_labels(x, np.zeros(1, dtype=int))

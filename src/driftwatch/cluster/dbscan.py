@@ -40,16 +40,17 @@ def dbscan(data, eps: float, min_pts: int):
     eps, min_pts = _checked(eps, min_pts)
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    start, end = _neighbourhoods(xs, eps)
-    core = end - start >= min_pts
+    with np.errstate(over="ignore"):  # a distance that rounds to inf is beyond every finite eps
+        start, end = _neighbourhoods(xs, eps)
+        core = end - start >= min_pts
+        cores = np.flatnonzero(core)
+        breaks = xs[cores[1:]] - xs[cores[:-1]] > eps
     n = x.size
     labels = np.full(n, NOISE, dtype=int)
-    cores = np.flatnonzero(core)
     if cores.size == 0:
         return from_labels(x, labels)
 
     # Components, numbered by their lowest input index (first-visit order).
-    breaks = xs[cores[1:]] - xs[cores[:-1]] > eps
     component = np.concatenate(([0], np.cumsum(breaks)))
     first = np.minimum.reduceat(order[cores], np.flatnonzero(np.concatenate(([True], breaks))))
     rank = np.empty(first.size, dtype=int)

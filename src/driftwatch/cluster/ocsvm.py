@@ -40,7 +40,7 @@ def ocsvm_train(data, nu: float = 0.1, gamma: float = 1.0, *, tol: float = 1e-4,
                 max_iter: int | None = None) -> OcsvmModel:
     x = as_values(data, name="data", min_len=2)
     nu = check_unit_fraction(nu, "nu")
-    gamma = check_positive(gamma, "gamma")
+    gamma = check_positive(gamma, "gamma", finite=True)
     n = x.size
     cap = 1.0 / (nu * n)
     if max_iter is None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import KW_ONLY, dataclass, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -98,46 +98,47 @@ class DriftVerdict:
     detail: str
 
 
+def _knob(default: Any, help: str, flag: str | None = None) -> Any:
+    """A detector knob: a field whose metadata holds its ``help`` text and,
+    where it is not ``--<name with dashes>``, its CLI ``flag``."""
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
 @dataclass(eq=False)
 class DriftDetector:
     """Estimator wrapping one drift-detection model.
 
-    Parameters mirror the knobs of all eight models; each model reads only
-    the ones it needs: kmeans and gmm ``multiplier`` (gap rule) and
-    ``k_max`` (silhouette search cap); greedy ``margin``; dbscan ``min_pts``
-    and ``eps_factor`` (eps = eps_factor * train std); hierarchical
-    ``threshold_fraction`` (of the train mean) and ``linkage``; optics
-    ``min_samples``, ``min_cluster_size``, ``max_eps`` and ``cut_quantile``;
-    ocsvm ``nu`` and ``gamma_override`` (replaces the automatic 1/(2*var)
-    RBF width); affinity ``damping``, ``ap_max_iter``,
-    ``ap_convergence_iter``, ``ap_multiplier`` (drift iff k_test >
-    ceil(ap_multiplier * k_train)) and ``ap_preference_override`` (replaces
-    the automatic preference, the lowest pairwise training similarity).
-    ``seed`` is kept with the other parameters, but no model draws random
-    numbers: every fit and verdict is a function of the data.  Equality is
-    identity, as for any estimator.
+    Each field between ``model`` and ``seed`` is a knob, read by the models
+    its ``help`` metadata names.  ``seed`` is kept with the other parameters,
+    but no model draws random numbers: every fit and verdict is a function
+    of the data.  Equality is identity, as for any estimator.
     """
 
     model: ModelType | str = "dbscan"
     _: KW_ONLY
-    multiplier: float = 2.0
-    margin: float = 0.25
-    min_pts: int = 4
-    eps_factor: float = 1.0
-    threshold_fraction: float = 0.1
-    linkage: str = "average"
-    min_samples: int = 3
-    min_cluster_size: int = 3
-    max_eps: float = math.inf
-    cut_quantile: float = 0.75
-    nu: float = 0.1
-    gamma_override: float | None = None
-    damping: float = 0.9
-    ap_multiplier: float = 1.0
-    ap_preference_override: float | None = None
-    ap_max_iter: int = 500
-    ap_convergence_iter: int = 15
-    k_max: int = 8
+    multiplier: float = _knob(2.0, "kmeans/gmm gap multiplier")
+    margin: float = _knob(0.25, "greedy headroom margin")
+    min_pts: int = _knob(4, "dbscan neighborhood population")
+    eps_factor: float = _knob(1.0, "dbscan eps = factor * train std")
+    threshold_fraction: float = _knob(0.1, "hierarchical threshold as a fraction of the train mean")
+    linkage: str = _knob("average", "hierarchical linkage: single|complete|average")
+    min_samples: int = _knob(3, "optics minimum samples")
+    min_cluster_size: int = _knob(3, "optics minimum cluster size")
+    max_eps: float = _knob(math.inf, "optics neighborhood cap")
+    cut_quantile: float = _knob(0.75, "optics reachability cut quantile")
+    nu: float = _knob(0.1, "ocsvm nu in (0, 1]")
+    gamma_override: float | None = _knob(
+        None, "ocsvm RBF gamma (default 1/(2*train var))", flag="--gamma")
+    damping: float = _knob(0.9, "affinity propagation damping")
+    ap_multiplier: float = _knob(
+        1.0, "affinity cluster-count multiplier m: drift when k_test > ceil(m * k_train)")
+    ap_preference_override: float | None = _knob(
+        None, "affinity preference (default: lowest pairwise train similarity)",
+        flag="--ap-preference")
+    ap_max_iter: int = _knob(500, "affinity message-passing iteration cap")
+    ap_convergence_iter: int = _knob(
+        15, "affinity sweeps with a stable exemplar set before convergence")
+    k_max: int = _knob(8, "kmeans/gmm silhouette search upper bound")
     seed: int = 0
 
     # -- scikit-learn estimator plumbing ------------------------------------
@@ -255,7 +256,7 @@ def _gap_rule(centres, memory) -> Rule:
 
 
 def _ap_preference(det, x):
-    check_positive(det.ap_multiplier, "ap_multiplier")
+    check_positive(det.ap_multiplier, "ap_multiplier", finite=True)
     override = det.ap_preference_override  # default: the lowest pairwise similarity
     return {"preference": -float(np.ptp(x)) ** 2 if override is None else float(override)}
 

@@ -31,16 +31,16 @@ def as_values(x: Any, *, name: str = "data", min_len: int = 1) -> np.ndarray:
     return arr
 
 
-def check_positive(value: float, name: str) -> float:
+def check_positive(value: float, name: str, *, finite: bool = False) -> float:
     value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+    if not value > 0 or finite and value == math.inf:
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}> 0, got {value}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
     value = float(value)
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
@@ -84,27 +84,37 @@ def from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
     by its annotation: ``X | None`` keeps a null, ``tuple[R, ...]`` and
     ``dict[str, R]`` read R records when R is a dataclass, a float reads
     null as infinity, and any other scalar type is called on the value; an
-    int refuses a bool and a number with a fraction (ValueError).
+    int refuses a bool and a number with a fraction.  A value its type cannot
+    read raises ValueError prefixed with its field path, outer field first
+    (``phases: duration: ...``); a record's own checks' errors pass as they are.
     """
+    return _record(cls, doc, "")
+
+
+def _record(cls: type, doc: Mapping[str, Any], path: str) -> Any:
     hints = get_type_hints(cls)
-    return cls(**{f.name: _read(hints[f.name], doc[f.name]) for f in fields(cls)
+    return cls(**{f.name: _read(hints[f.name], doc[f.name], f"{path}{f.name}: ")
+                  for f in fields(cls)
                   if f.name in doc or f.default is MISSING and f.default_factory is MISSING})
 
 
-def _read(kind: Any, value: Any) -> Any:
+def _read(kind: Any, value: Any, path: str) -> Any:
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, types.UnionType):  # X | None
-        return None if value is None else _read(args[0], value)
+        return None if value is None else _read(args[0], value, path)
     if origin is not None:
         record = args[1] if origin is dict else args[0]
         if not is_dataclass(record):
             return value
         if origin is dict:
-            return {k: from_doc(record, v) for k, v in value.items()}
-        return origin(from_doc(record, v) for v in value)
+            return {k: _record(record, v, path) for k, v in value.items()}
+        return origin(_record(record, v, path) for v in value)
     if kind is float and value is None:
         return math.inf
-    result = kind(value)
+    try:
+        result = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}{exc}") from exc
     if kind is int and (isinstance(value, bool) or isinstance(value, float) and result != value):
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"{path}expected an integer, got {value!r}")
     return result

@@ -50,6 +50,12 @@ class TestAffinityExamples:
         with pytest.raises(ValueError):
             affinity_propagation([1, 2, 3], damping=1.0)
 
+    @pytest.mark.parametrize("preference", [np.nan, np.inf, -np.inf])
+    def test_non_finite_preference_is_refused(self, preference):
+        # nan once read as "no exemplar ever" (0 clusters), inf as invalid products
+        with pytest.raises(ValueError, match="^preference must be finite"):
+            affinity_propagation([1.0, 2.0, 30.0], preference=preference)
+
 
 class TestAffinityProperties:
     def test_matches_reference_message_passing(self):

@@ -1,13 +1,15 @@
+import argparse
 import json
 import math
 import time
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from driftwatch import cli, telemetry
 from driftwatch.bench import BenchProtocol, _run_scenario, run_scenario, score_run
-from driftwatch.cli import _DETECTOR_FLAGS, main
+from driftwatch.cli import main
 from driftwatch.detectors import DriftDetector
 from driftwatch.scenario import PRESETS, PhaseKind, PhaseSpec, ScenarioSpec, generate
 from driftwatch.telemetry import render_csv
@@ -68,12 +70,78 @@ def capture(tmp_path, capsys):
     return out_base
 
 
+def subparsers():
+    """build_parser()'s subcommand parsers by name."""
+    (action,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+#: Each subcommand's own dests, besides the detector flags.
+COMMAND_DESTS = {
+    "detect": {"help", "model", "train", "test", "pretty"},
+    "replay": {"help", "model", "csv", "truth", "batch_len", "stride", "train_batches"},
+    "bench": {"help", "models", "presets", "reps", "out", "train_batches", "batch_len",
+              "refit_every"},
+}
+KNOBS = [f for f in fields(DriftDetector) if f.name not in ("model", "seed")]
+DETECT = ["detect", "--model", "dbscan", "--train", "a.csv", "--test", "b.csv"]
+
+
 class TestDetectorFlags:
     def test_flags_map_one_to_one_to_constructor_parameters(self):
-        flags = [flag for flag, _, _, _ in _DETECTOR_FLAGS]
-        params = [param for _, param, _, _ in _DETECTOR_FLAGS]
-        assert len(set(flags)) == len(flags) and len(set(params)) == len(params)
-        assert set(params) | {"seed"} == set(DriftDetector().get_params()) - {"model"}
+        names = {f.name for f in fields(DriftDetector)} - {"model"}
+        for command, own in COMMAND_DESTS.items():
+            dests = [a.dest for a in subparsers()[command]._actions]
+            assert len(set(dests)) == len(dests)
+            assert set(dests) == own | names, command
+
+    def test_flags_are_the_field_names_but_gamma_and_ap_preference(self):
+        flags = {a.dest: a.option_strings for a in subparsers()["detect"]._actions}
+        assert flags["gamma_override"] == ["--gamma"]
+        assert flags["ap_preference_override"] == ["--ap-preference"]
+        for f in KNOBS:
+            if not f.name.endswith("_override"):
+                assert flags[f.name] == ["--" + f.name.replace("_", "-")]
+
+    @pytest.mark.parametrize("knob", KNOBS, ids=lambda f: f.name)
+    def test_a_flag_reaches_its_parameter_with_the_field_type(self, knob, monkeypatch):
+        monkeypatch.delenv("DRIFTWATCH_SEED", raising=False)
+        kind = float if knob.default is None else type(knob.default)
+        value = {float: "0.5", int: "7", str: "single"}[kind]
+        (flag,) = next(a.option_strings for a in subparsers()["detect"]._actions
+                       if a.dest == knob.name)
+        params = cli._detector_params(cli.build_parser().parse_args([*DETECT, flag, value]))
+        assert params == {knob.name: kind(value), "seed": 0}
+        assert type(params[knob.name]) is kind
+        got = DriftDetector(**params).get_params()  # every other knob keeps its default
+        assert got == {**DriftDetector().get_params(), knob.name: kind(value)}
+
+    @pytest.mark.parametrize("command", ["generate", "detect", "replay", "bench"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: driftwatch {command}")
+
+    @pytest.mark.parametrize("env", [None, ""])
+    def test_an_unset_or_empty_seed_variable_gives_the_fallback(self, env, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("DRIFTWATCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DRIFTWATCH_SEED", env)
+        args = cli.build_parser().parse_args(DETECT)
+        assert cli._detector_params(args) == {"seed": 0}
+        assert cli._resolve_seed(args, fallback=None) is None
+        monkeypatch.setenv("DRIFTWATCH_SEED", "5")  # --seed comes first
+        assert cli._resolve_seed(cli.build_parser().parse_args([*DETECT, "--seed", "3"]), 0) == 3
+
+    def test_a_seed_variable_that_is_not_an_integer_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRIFTWATCH_SEED", "abc")
+        code, out, err = run_cli(
+            capsys, "generate", "--preset", "qos", "--out", str(tmp_path / "cap")
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: DRIFTWATCH_SEED must be an integer, got 'abc'\n"
 
 
 class TestGenerate:
@@ -126,18 +194,23 @@ class TestGenerate:
         ("sample_period", "Infinity", "sample_period must be finite, got inf"),
         ("kind", '"bogus"', "'bogus' is not a valid PhaseKind"),
         ("duration", '"abc"', "could not convert string to float: 'abc'"),
+        ("noise_std", '"abc"', "could not convert string to float: 'abc'"),
         ("seed", "2.7", "expected an integer, got 2.7"),
         ("seed", "true", "expected an integer, got True"),
+        ("seed", "1e999", "cannot convert float infinity to integer"),
     ])
     def test_spec_with_a_bad_number_or_kind_exits_2(self, tmp_path, capsys, key, text, reason):
         doc = fulfillment_only_spec().to_dict()
-        (doc if key in ("sample_period", "seed") else doc["phases"][0])[key] = "VALUE"
+        top = key in ("sample_period", "seed")
+        (doc if top else doc["phases"][0])[key] = "VALUE"
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps(doc).replace('"VALUE"', text))
         code, out, err = run_cli(
             capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "cap")
         )
         assert (code, out) == (2, "")
+        if "finite" not in reason:  # a conversion error is prefixed with its field path
+            reason = ("" if top else "phases: ") + f"{key}: {reason}"
         assert err == f"error: invalid scenario document: {reason}\n"
         assert not (tmp_path / "cap.csv").exists()
 
@@ -194,6 +267,22 @@ class TestDetect:
         assert out == ""
         assert "error: min_samples=30 exceeds the 18 data points" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model, flag, value, reason", [
+        ("greedy", "--margin", "nan", "margin must be >= 0, got nan"),
+        ("affinity", "--ap-preference", "nan", "preference must be finite, got nan"),
+        ("affinity", "--ap-preference", "inf", "preference must be finite, got inf"),
+        ("affinity", "--ap-multiplier", "inf", "ap_multiplier must be finite and > 0, got inf"),
+        ("ocsvm", "--gamma", "inf", "gamma must be finite and > 0, got inf"),
+    ])
+    def test_a_knob_that_is_not_a_number_exits_2(self, capsys, capture, model, flag, value, reason):
+        # a NaN margin once read as drift on a capture against itself; the
+        # infinite multiplier and gamma ended in a traceback
+        csv = str(capture) + ".csv"
+        code, out, err = run_cli(
+            capsys, "detect", "--model", model, "--train", csv, "--test", csv, flag, value
+        )
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
 
     def test_config_flags_reach_detector(self, tmp_path, capsys):
         train = tmp_path / "train.csv"

@@ -111,8 +111,20 @@ def test_scalars_are_coerced_to_their_annotation():
 
 @pytest.mark.parametrize("value", [4096.9, -0.5, True, False])
 def test_an_int_field_refuses_a_fraction_or_a_bool(value):
-    with pytest.raises(ValueError, match=f"^expected an integer, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^peak_memory_bytes: expected an integer, got {value!r}$"):
         from_doc(ModelStats, {**to_doc(STATS), "peak_memory_bytes": value})
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("abc", "phases: duration: could not convert string to float: 'abc'"),
+    ([1], "phases: duration: float() argument must be a string or a real number, not 'list'"),
+    (math.inf, "duration must be finite, got inf"),  # the record's own check names its field
+])
+def test_a_value_that_does_not_convert_names_its_field_path(value, reason):
+    doc = {"intent_tag": "x", "phases": [{"kind": "normal", "duration": value, "base_level": 2}]}
+    with pytest.raises(ValueError) as err:
+        from_doc(ScenarioSpec, doc)
+    assert str(err.value) == reason
 
 
 def test_mappings_are_written_by_item_and_sequences_as_lists():

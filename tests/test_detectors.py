@@ -153,6 +153,20 @@ class TestDecisionRules:
         verdict = detect([100.0, 80.0], [119.0], model="greedy", margin=0.2)
         assert verdict.drift is False
 
+    @pytest.mark.parametrize("model, params, reason", [
+        ("greedy", {"margin": math.nan}, "margin must be >= 0"),
+        ("affinity", {"ap_preference_override": math.nan}, "preference must be finite"),
+        ("affinity", {"ap_preference_override": math.inf}, "preference must be finite"),
+        ("affinity", {"ap_preference_override": -math.inf}, "preference must be finite"),
+        ("affinity", {"ap_multiplier": math.inf}, "ap_multiplier must be finite"),
+        ("ocsvm", {"gamma_override": math.inf}, "gamma must be finite"),
+    ])
+    def test_a_knob_that_is_not_a_number_is_refused(self, model, params, reason):
+        # a NaN margin once gave drift (limit nan), a NaN preference no drift (k = 0)
+        train = [100.0, 101.0, 102.0, 200.0, 201.0, 202.0]
+        with pytest.raises(ValueError, match=reason):
+            detect(train, [50.0, 51.0, 100.0, 101.0, 200.0, 201.0], model=model, **params)
+
     def test_dbscan_unimodal_to_bimodal(self):
         rng = np.random.default_rng(1)
         train = rng.normal(100, 5, 30)

@@ -310,13 +310,19 @@ class TestSerialization:
     ])
     def test_malformed_documents_name_the_document_and_the_fault(self, key, value, reason):
         phase = {"kind": "drift", "duration": 9, "base_level": 100, key: value}
-        with pytest.raises(ScenarioError, match=f"^invalid phase document: {reason}"):
+
+        def path(outer):  # a conversion error names its field path; a record's check its field
+            return "" if "must be" in reason else f"{outer}{key}: "
+
+        with pytest.raises(ScenarioError, match=f"^invalid phase document: {path('')}{reason}"):
             PhaseSpec.from_dict(phase)
-        with pytest.raises(ScenarioError, match=f"^invalid scenario document: {reason}"):
+        with pytest.raises(ScenarioError,
+                           match=f"^invalid scenario document: {path('phases: ')}{reason}"):
             ScenarioSpec.from_dict({"intent_tag": "x", "phases": [phase]})
         boundary = {"start_t": 0, "kind": value if key == "kind" else "drift"}
         if key == "kind":
-            with pytest.raises(ScenarioError, match=f"^invalid ground-truth document: {reason}"):
+            with pytest.raises(ScenarioError,
+                               match=f"^invalid ground-truth document: {path('boundaries: ')}{reason}"):
                 GroundTruth.from_dict({"boundaries": [boundary], "end_t": 9})
 
     @pytest.mark.parametrize("doc", [{"phases": []}, {"intent_tag": "x"}])
@@ -327,12 +333,12 @@ class TestSerialization:
     @pytest.mark.parametrize("text, reason", [("2.7", "2.7"), ("true", "True"), ("-1.5", "-1.5")])
     def test_a_fractional_or_boolean_seed_is_a_scenario_error(self, text, reason):
         doc = json.dumps({"intent_tag": "x", "phases": [DRIFT_PHASE], "seed": "VALUE"})
-        with pytest.raises(ScenarioError, match=f"^invalid scenario document: expected an integer, got {reason}$"):
+        with pytest.raises(ScenarioError, match=f"^invalid scenario document: seed: expected an integer, got {reason}$"):
             ScenarioSpec.from_json(doc.replace('"VALUE"', text))
         assert ScenarioSpec.from_json(doc.replace('"VALUE"', "4.0")).seed == 4
 
     def test_an_overflowing_integer_is_a_scenario_error(self):
-        with pytest.raises(ScenarioError, match="^invalid scenario document: cannot convert"):
+        with pytest.raises(ScenarioError, match="^invalid scenario document: seed: cannot convert"):
             ScenarioSpec.from_json(json.dumps({"intent_tag": "x", "phases": [DRIFT_PHASE]})[:-1]
                                    + ', "seed": 1e999}')
 

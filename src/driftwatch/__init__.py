@@ -14,7 +14,6 @@ from .bench import (
     RunRecord,
     accuracy,
     compare_models,
-    compute_time_stats,
     detection_delay,
     emit_report,
     false_positive_rate,
@@ -62,11 +61,9 @@ from .scenario import (
 )
 from .telemetry import (
     Batch,
-    BatchStats,
     Series,
     TelemetryError,
     ThroughputSample,
-    batch_stats,
     batchify,
     ingest_csv,
     render_csv,

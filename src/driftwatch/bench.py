@@ -54,7 +54,6 @@ __all__ = [
     "accuracy",
     "false_positive_rate",
     "detection_delay",
-    "compute_time_stats",
     "memory_estimate",
     "MEMORY_SUBSET",
     "compare_models",
@@ -95,12 +94,6 @@ class RunRecord:
     truth: bool
     compute_time: float
     allocated_bytes: int
-
-
-@dataclass(frozen=True)
-class ComputeTimeStats:
-    mean: float
-    max: float
 
 
 @dataclass
@@ -379,14 +372,6 @@ def score_run(records: Sequence[RunRecord], truth: GroundTruth) -> dict[str, flo
     if truth.drift_onsets():
         scores["detection_delay"] = detection_delay(records, truth)
     return scores
-
-
-def compute_time_stats(records: Sequence[RunRecord]) -> ComputeTimeStats:
-    """Mean and max wall time across records; errors on empty input."""
-    if not records:
-        raise ValueError("compute-time stats of zero records are undefined")
-    times = [r.compute_time for r in records]
-    return ComputeTimeStats(mean=sum(times) / len(times), max=max(times))
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ _KNOBS = tuple((f.metadata["flag"] or "--" + f.name.replace("_", "-"), f)
 
 def _add_detector_flags(sp: argparse.ArgumentParser) -> None:
     for flag, f in _KNOBS:
+        models = "/".join(m.value for m in f.metadata["models"])
         shown = "" if f.default is None else f" (default {f.default})"
         sp.add_argument(flag, dest=f.name, type=float if f.default is None else type(f.default),
-                        default=None, help=f.metadata["help"] + shown)
+                        default=None, help=f"{models} {f.metadata['help']}{shown}")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed (default 0, or DRIFTWATCH_SEED); no detector draws random "
                          "numbers, so only bench uses it, as its first scenario seed")

@@ -3,7 +3,7 @@
 :class:`DriftDetector` is a scikit-learn style estimator: constructor
 arguments are stored verbatim as hyperparameters (``get_params`` /
 ``set_params`` round-trip them), ``fit`` learns the reference state from the
-training window, and ``evaluate``/``predict`` judge a fresh batch.  Every
+training window, and ``evaluate`` judges a fresh batch.  Every
 model follows one contract: ``fit`` keeps the reference values its rule
 reads, and ``evaluate`` computes one statistic on the batch and flags drift
 when it passes a threshold.  :data:`RULES` holds each model's rule:
@@ -40,13 +40,7 @@ from .cluster import (
 from .cluster.dbscan import count_runs
 from .cluster.gmm import gmm_em
 from .cluster.silhouette import best_k_fit
-from .validation import (
-    as_values,
-    check_count,
-    check_non_negative,
-    check_positive,
-    check_unit_fraction,
-)
+from .validation import as_values, check_count, check_positive
 
 __all__ = [
     "ModelType",
@@ -98,10 +92,31 @@ class DriftVerdict:
     detail: str
 
 
-def _knob(default: Any, help: str, flag: str | None = None) -> Any:
-    """A detector knob: a field whose metadata holds its ``help`` text and,
-    where it is not ``--<name with dashes>``, its CLI ``flag``."""
-    return field(default=default, metadata={"help": help, "flag": flag})
+# The domains of the knobs the detector turns into a threshold or an engine
+# parameter itself.  Plain functions, not partials: evaluate runs them per call.
+
+def _positive(value: float, name: str) -> None:
+    check_positive(value, name, finite=True)
+
+
+def _non_negative(value: float, name: str) -> None:
+    check_positive(value, name, finite=True, zero=True)
+
+
+def _k_max(value: int, name: str) -> None:
+    check_count(value, name, minimum=2)
+
+
+def _knob(default: Any, models: str, help: str, *,
+          check: Callable[[Any, str], Any] | None = None, flag: str | None = None) -> Any:
+    """A detector knob: a field whose metadata holds the ``models`` that read
+    it (given as "kmeans/gmm"), its ``help`` text, the ``check`` of its domain
+    when the detector computes with it (a knob that goes verbatim to an engine
+    is checked there), and its CLI ``flag`` where that is not ``--<name with
+    dashes>``."""
+    return field(default=default, metadata={
+        "models": tuple(map(ModelType, models.split("/"))), "help": help, "check": check,
+        "flag": flag})
 
 
 @dataclass(eq=False)
@@ -109,36 +124,38 @@ class DriftDetector:
     """Estimator wrapping one drift-detection model.
 
     Each field between ``model`` and ``seed`` is a knob, read by the models
-    its ``help`` metadata names.  ``seed`` is kept with the other parameters,
+    its ``models`` metadata names.  ``seed`` is kept with the other parameters,
     but no model draws random numbers: every fit and verdict is a function
     of the data.  Equality is identity, as for any estimator.
     """
 
     model: ModelType | str = "dbscan"
     _: KW_ONLY
-    multiplier: float = _knob(2.0, "kmeans/gmm gap multiplier")
-    margin: float = _knob(0.25, "greedy headroom margin")
-    min_pts: int = _knob(4, "dbscan neighborhood population")
-    eps_factor: float = _knob(1.0, "dbscan eps = factor * train std")
-    threshold_fraction: float = _knob(0.1, "hierarchical threshold as a fraction of the train mean")
-    linkage: str = _knob("average", "hierarchical linkage: single|complete|average")
-    min_samples: int = _knob(3, "optics minimum samples")
-    min_cluster_size: int = _knob(3, "optics minimum cluster size")
-    max_eps: float = _knob(math.inf, "optics neighborhood cap")
-    cut_quantile: float = _knob(0.75, "optics reachability cut quantile")
-    nu: float = _knob(0.1, "ocsvm nu in (0, 1]")
+    multiplier: float = _knob(2.0, "kmeans/gmm", "gap multiplier", check=_positive)
+    margin: float = _knob(0.25, "greedy", "headroom margin", check=_non_negative)
+    min_pts: int = _knob(4, "dbscan", "neighborhood population")
+    eps_factor: float = _knob(1.0, "dbscan", "eps = factor * train std", check=_positive)
+    threshold_fraction: float = _knob(
+        0.1, "hierarchical", "threshold as a fraction of the train mean", check=_positive)
+    linkage: str = _knob("average", "hierarchical", "linkage: single|complete|average")
+    min_samples: int = _knob(3, "optics", "minimum samples")
+    min_cluster_size: int = _knob(3, "optics", "minimum cluster size")
+    max_eps: float = _knob(math.inf, "optics", "neighborhood cap")
+    cut_quantile: float = _knob(0.75, "optics", "reachability cut quantile")
+    nu: float = _knob(0.1, "ocsvm", "nu in (0, 1]")
     gamma_override: float | None = _knob(
-        None, "ocsvm RBF gamma (default 1/(2*train var))", flag="--gamma")
-    damping: float = _knob(0.9, "affinity propagation damping")
+        None, "ocsvm", "RBF gamma (default 1/(2*train var))", flag="--gamma")
+    damping: float = _knob(0.9, "affinity", "propagation damping")
     ap_multiplier: float = _knob(
-        1.0, "affinity cluster-count multiplier m: drift when k_test > ceil(m * k_train)")
+        1.0, "affinity", "cluster-count multiplier m: drift when k_test > ceil(m * k_train)",
+        check=_positive)
     ap_preference_override: float | None = _knob(
-        None, "affinity preference (default: lowest pairwise train similarity)",
+        None, "affinity", "preference (default: lowest pairwise train similarity)",
         flag="--ap-preference")
-    ap_max_iter: int = _knob(500, "affinity message-passing iteration cap")
+    ap_max_iter: int = _knob(500, "affinity", "message-passing iteration cap")
     ap_convergence_iter: int = _knob(
-        15, "affinity sweeps with a stable exemplar set before convergence")
-    k_max: int = _knob(8, "kmeans/gmm silhouette search upper bound")
+        15, "affinity", "sweeps with a stable exemplar set before convergence")
+    k_max: int = _knob(8, "kmeans/gmm", "silhouette search upper bound", check=_k_max)
     seed: int = 0
 
     # -- scikit-learn estimator plumbing ------------------------------------
@@ -158,6 +175,7 @@ class DriftDetector:
     def fit(self, X) -> "DriftDetector":
         """Learn the reference state from a training batch."""
         model = ModelType.coerce(self.model)
+        self._check_knobs(model)
         rule = RULES[model]
         x = as_values(X, name="x_train", min_len=rule.min_train)
         self.state_ = DetectorState(model=model, n_train=x.size, **rule.fit(self, x))
@@ -173,14 +191,24 @@ class DriftDetector:
             raise ValueError(
                 f"state was fitted for {state.model.value!r} but detector is {model.value!r}"
             )
+        self._check_knobs(model)
         x = as_values(X, name="x_test", min_len=1)
         rule = RULES[model]
         stat, threshold, evidence = rule.test(self, vars(state), x)
         score = rule.score(stat, threshold)
         return DriftVerdict(drift=score > 0, score=score, detail=f"{model.value}: {evidence}")
 
-    def predict(self, X) -> bool:
-        return self.evaluate(X).drift
+    def _check_knobs(self, model: ModelType) -> None:
+        """Check each knob of model's that has a ``check``; run by ``fit`` and
+        ``evaluate``, as ``set_params`` may change a knob between them."""
+        for name, check in _CHECKS[model]:
+            check(getattr(self, name), name)
+
+
+#: Per model, the (name, check) of each knob it reads that has a check.
+_CHECKS = {model: tuple((f.name, f.metadata["check"]) for f in fields(DriftDetector)
+                        if model in f.metadata.get("models", ()) and f.metadata["check"])
+           for model in ModelType}
 
 
 # -- the rule table: the one place a model's rule lives ------------------------
@@ -235,13 +263,11 @@ def _gap_rule(centres, memory) -> Rule:
     centroids)`` takes them from the k-means fit of the silhouette search's k."""
 
     def max_gap(det, x):
-        check_count(det.k_max, "k_max", minimum=2)
         k, fit = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)))
         ordered = np.sort(centres(x, k, fit.centroids))
         return k, (float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0)
 
     def fit(det, x):
-        check_positive(det.multiplier, "multiplier")
         k, gap = max_gap(det, x)
         return {"k_train": k, "old_max_gap": gap, "gap_floor": 1e-6 * float(x.mean())}
 
@@ -256,24 +282,19 @@ def _gap_rule(centres, memory) -> Rule:
 
 
 def _ap_preference(det, x):
-    check_positive(det.ap_multiplier, "ap_multiplier", finite=True)
     override = det.ap_preference_override  # default: the lowest pairwise similarity
     return {"preference": -float(np.ptp(x)) ** 2 if override is None else float(override)}
 
 
 def _dbscan_eps(det, x):
-    check_positive(det.eps_factor, "eps_factor")
-    check_count(det.min_pts, "min_pts", minimum=1)
     return {"eps": max(det.eps_factor * float(x.std()), 1e-9)}
 
 
 def _hierarchical_threshold(det, x):
-    check_positive(det.threshold_fraction, "threshold_fraction")
     return {"distance_threshold": max(det.threshold_fraction * float(x.mean()), 1e-9)}
 
 
 def _ocsvm_fit(det, x):
-    check_unit_fraction(det.nu, "nu")
     gamma = det.gamma_override
     if gamma is None:
         var = float(x.var())
@@ -285,11 +306,6 @@ def _ocsvm_test(det, ref, x):
     fraction = float(1.0 - ocsvm_predict(ref["svm"], x)[0].mean())
     return fraction, 0.0, (f"outlier fraction {fraction:.4f} on {x.size} points "
                            f"(nu={det.nu}, gamma={ref['gamma']:.6g})")
-
-
-def _greedy_fit(det, x):
-    check_non_negative(det.margin, "margin")
-    return {"monitoring_max": greedy_max(x)}
 
 
 def _greedy_test(det, ref, x):
@@ -334,7 +350,8 @@ RULES: dict[ModelType, Rule] = {
     ModelType.KMEANS: _gap_rule(lambda x, k, centroids: centroids, memory=(61, 1)),
     ModelType.GMM: _gap_rule(lambda x, k, centroids: gmm_em(x, k, centroids).means, memory=(61, 1)),
     ModelType.ONE_CLASS_SVM: Rule(_ocsvm_fit, _ocsvm_test, _excess, memory=(2, 2)),
-    ModelType.GREEDY: Rule(_greedy_fit, _greedy_test, _ratio, memory=(8, 0), min_train=1),
+    ModelType.GREEDY: Rule(lambda det, x: {"monitoring_max": greedy_max(x)}, _greedy_test,
+                           _ratio, memory=(8, 0), min_train=1),
 }
 
 

@@ -23,11 +23,9 @@ __all__ = [
     "ThroughputSample",
     "Series",
     "Batch",
-    "BatchStats",
     "ingest_csv",
     "render_csv",
     "batchify",
-    "batch_stats",
 ]
 
 CSV_HEADER = "t,kbps"
@@ -151,14 +149,6 @@ class Batch:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.start_t + self.end_t)
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    mean: float
-    std: float
-    min: float
-    max: float
 
 
 def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
@@ -332,16 +322,6 @@ class _Batches(Sequence):
         i = operator.index(index)
         start = float(self._starts[i])  # IndexError past either end, as on a list
         return Batch(start, start + self._batch_len, self._values[self._lo[i]:self._hi[i]])
-
-
-def batch_stats(batch: Batch) -> BatchStats:
-    """Mean, population standard deviation, min, and max of a batch."""
-    return BatchStats(
-        mean=float(batch.values.mean()),
-        std=float(batch.values.std()),  # population normalization: lone samples get std 0
-        min=float(batch.values.min()),
-        max=float(batch.values.max()),
-    )
 
 
 def concat_values(batches: Iterable[Batch]) -> np.ndarray:

@@ -31,23 +31,25 @@ def as_values(x: Any, *, name: str = "data", min_len: int = 1) -> np.ndarray:
     return arr
 
 
-def check_positive(value: float, name: str, *, finite: bool = False) -> float:
+def check_positive(value: float, name: str, *, finite: bool = False, zero: bool = False) -> float:
+    """Refuse a value that is not > 0 (not >= 0 with ``zero``) and, with
+    ``finite``, +inf; the message names the bound the value misses."""
     value = float(value)
-    if not value > 0 or finite and value == math.inf:
-        raise ValueError(f"{name} must be {'finite and ' if finite else ''}> 0, got {value}")
-    return value
-
-
-def check_non_negative(value: float, name: str) -> float:
-    value = float(value)
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    bound = ">= 0" if zero else "> 0"
+    if not (value >= 0 if zero else value > 0):
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if finite and value == math.inf:
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
     return value
 
 
 def check_count(value: int, name: str, *, minimum: int = 1) -> int:
-    count = int(value)
-    if count != value or count < minimum:
+    """Refuse a bool, a fraction, a non-finite number and a count below minimum."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if isinstance(value, bool) or count is None or count != value or count < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return count
 
@@ -85,13 +87,16 @@ def from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
     ``dict[str, R]`` read R records when R is a dataclass, a float reads
     null as infinity, and any other scalar type is called on the value; an
     int refuses a bool and a number with a fraction.  A value its type cannot
-    read raises ValueError prefixed with its field path, outer field first
+    read, and a record or a list of records that is not an object or a list,
+    raises ValueError prefixed with its field path, outer field first
     (``phases: duration: ...``); a record's own checks' errors pass as they are.
     """
     return _record(cls, doc, "")
 
 
 def _record(cls: type, doc: Mapping[str, Any], path: str) -> Any:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{path}expected an object, got {doc!r}")
     hints = get_type_hints(cls)
     return cls(**{f.name: _read(hints[f.name], doc[f.name], f"{path}{f.name}: ")
                   for f in fields(cls)
@@ -106,6 +111,9 @@ def _read(kind: Any, value: Any, path: str) -> Any:
         record = args[1] if origin is dict else args[0]
         if not is_dataclass(record):
             return value
+        if not isinstance(value, Mapping if origin is dict else list):
+            expected = "an object" if origin is dict else "a list"
+            raise ValueError(f"{path}expected {expected}, got {value!r}")
         if origin is dict:
             return {k: _record(record, v, path) for k, v in value.items()}
         return origin(_record(record, v, path) for v in value)

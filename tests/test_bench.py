@@ -19,7 +19,6 @@ from driftwatch.bench import (
     _run_scenario,
     accuracy,
     compare_models,
-    compute_time_stats,
     detection_delay,
     emit_report,
     false_positive_rate,
@@ -245,14 +244,6 @@ class TestMetrics:
         truth = generate(drift_free_spec())[1]
         with pytest.raises(ValueError):
             detection_delay([record(True, True)], truth)
-
-    def test_compute_time_stats(self):
-        records = [record(False, False) for _ in range(3)]
-        stats = compute_time_stats(records)
-        assert stats.mean == pytest.approx(0.001)
-        assert stats.max == pytest.approx(0.001)
-        with pytest.raises(ValueError):
-            compute_time_stats([])
 
 
 class TestMemoryAccounting:

@@ -284,6 +284,19 @@ class TestDetect:
         )
         assert (code, out, err) == (2, "", f"error: {reason}\n")
 
+    @pytest.mark.parametrize("model, flag, value, reason", [
+        ("greedy", "--margin", "inf", "margin must be finite and >= 0, got inf"),
+        ("dbscan", "--eps-factor", "inf", "eps_factor must be finite and > 0, got inf"),
+        ("kmeans", "--k-max", "1", "k_max must be an integer >= 2, got 1"),
+    ])
+    def test_a_knob_outside_its_domain_exits_2(self, capsys, capture, model, flag, value, reason):
+        # an infinite margin once printed "drift": false with limit inf and exited 0
+        csv = str(capture) + ".csv"
+        code, out, err = run_cli(
+            capsys, "detect", "--model", model, "--train", csv, "--test", csv, flag, value
+        )
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
     def test_config_flags_reach_detector(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         test = tmp_path / "test.csv"

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -85,9 +86,9 @@ class TestEstimatorApi:
         clone = sklearn_base.clone(det)
         assert clone.get_params() == det.get_params()
 
-    def test_predict_requires_fit(self):
+    def test_evaluate_requires_fit(self):
         with pytest.raises(RuntimeError):
-            DriftDetector("dbscan").predict([1, 2, 3])
+            DriftDetector("dbscan").evaluate([1, 2, 3])
 
     def test_model_state_mismatch_rejected(self):
         det = DriftDetector("greedy").fit([1, 2, 3])
@@ -97,7 +98,7 @@ class TestEstimatorApi:
 
     def test_accepts_batches_and_arrays(self):
         det = DriftDetector("greedy").fit(batch_of([1, 2, 3]))
-        assert det.predict(np.array([1.0, 2.0])) is False
+        assert det.evaluate(np.array([1.0, 2.0])).drift is False
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -216,6 +217,56 @@ class TestDecisionRules:
             assert detect(train, test, model=model) == (
                 DriftDetector(model).fit(train).evaluate(test)
             )
+
+
+#: (model, knob, a finite value outside its domain) for every model and every
+#: knob it reads that the detector checks itself.
+CHECKED_KNOBS = [
+    ("kmeans", "multiplier", 0.0), ("gmm", "multiplier", -1.0), ("greedy", "margin", -0.5),
+    ("dbscan", "eps_factor", 0.0), ("hierarchical", "threshold_fraction", -0.1),
+    ("affinity", "ap_multiplier", 0.0), ("kmeans", "k_max", 1), ("gmm", "k_max", 2.5),
+]
+
+
+class TestKnobChecks:
+    @pytest.mark.parametrize("model, knob, bad", [
+        (model, knob, value) for model, knob, finite in CHECKED_KNOBS
+        for value in (math.nan, math.inf, finite)
+    ])
+    def test_a_knob_outside_its_domain_is_refused_by_fit_and_evaluate(self, model, knob, bad):
+        # an infinite knob once blinded its rule (a limit or eps of inf)
+        train = [100.0, 101.0, 102.0, 200.0, 201.0, 202.0]
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            DriftDetector(model, **{knob: bad}).fit(train)
+        det = DriftDetector(model).fit(train).set_params(**{knob: bad})
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            det.evaluate(train)
+
+    def test_each_knob_declares_its_models_and_the_computed_ones_a_check(self):
+        knobs = [f for f in fields(DriftDetector) if "models" in f.metadata]
+        assert [f.name for f in knobs] == [name for name, _ in PARAM_DEFAULTS[:-1]]
+        for f in knobs:
+            models = {m.value for m in f.metadata["models"]}
+            assert models and models <= set(MODEL_NAMES), f.name
+        assert {f.name for f in knobs if f.metadata["check"]} == {
+            "multiplier", "margin", "eps_factor", "threshold_fraction", "ap_multiplier", "k_max"}
+        assert {(m.value, f.name) for f in knobs if f.metadata["check"]
+                for m in f.metadata["models"]} == {(m, k) for m, k, _ in CHECKED_KNOBS}
+
+    @pytest.mark.parametrize("model, knob", [
+        ("dbscan", "min_pts"), ("optics", "min_samples"), ("optics", "min_cluster_size"),
+        ("affinity", "ap_max_iter"), ("affinity", "ap_convergence_iter"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    def test_an_engine_count_that_is_not_a_count_is_a_value_error(self, model, knob, bad):
+        # an infinite count once raised OverflowError, a NaN one an unnamed
+        # ValueError, and True passed as 1; the engine names its parameter
+        with pytest.raises(ValueError, match=r"must be an integer >= \d, got "):
+            DriftDetector(model, **{knob: bad}).fit([100.0, 101.0, 102.0, 200.0, 201.0, 202.0])
+
+    def test_a_knob_the_model_does_not_read_is_not_checked(self):
+        det = DriftDetector("dbscan", nu=5, margin=math.inf).fit([1.0, 2.0, 3.0])
+        assert det.evaluate([2.0]).drift is False
 
 
 class TestDetectorInvariants:

@@ -307,12 +307,21 @@ class TestSerialization:
         ("duration", "abc", "could not convert string to float: 'abc'"),
         ("base_level", None, "base_level must be finite, got inf"),  # a null float is infinity
         ("duration", -1, "phase duration must be > 0"),
+        (None, 1, "expected an object, got 1"),  # the phase itself is not an object
     ])
     def test_malformed_documents_name_the_document_and_the_fault(self, key, value, reason):
-        phase = {"kind": "drift", "duration": 9, "base_level": 100, key: value}
+        phase = value if key is None else {"kind": "drift", "duration": 9, "base_level": 100,
+                                           key: value}
 
         def path(outer):  # a conversion error names its field path; a record's check its field
-            return "" if "must be" in reason else f"{outer}{key}: "
+            if "must be" in reason:
+                return ""
+            return f"{outer}{key}: " if key else outer
+
+        if key is None:  # phases that are not a list
+            with pytest.raises(ScenarioError, match=f"^invalid scenario document: phases: "
+                                                    f"expected a list, got {value}"):
+                ScenarioSpec.from_dict({"intent_tag": "x", "phases": value})
 
         with pytest.raises(ScenarioError, match=f"^invalid phase document: {path('')}{reason}"):
             PhaseSpec.from_dict(phase)

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import math
 import os
 import subprocess
 import sys
@@ -18,7 +17,6 @@ from driftwatch.telemetry import (
     Series,
     TelemetryError,
     ThroughputSample,
-    batch_stats,
     batchify,
     ingest_csv,
     render_csv,
@@ -438,32 +436,6 @@ class TestLazyBatches:
             tracemalloc.stop()
         assert len(batches) == 9600
         assert retained < 0.5 * 2**20
-
-
-class TestBatchStats:
-    def test_constant(self):
-        stats = batch_stats(Batch(0, 4, (4, 4, 4, 4)))
-        assert (stats.mean, stats.std, stats.min, stats.max) == (4, 0, 4, 4)
-
-    def test_two_point_symmetry(self):
-        stats = batch_stats(Batch(0, 2, (0, 10)))
-        assert (stats.mean, stats.std, stats.min, stats.max) == (5, 5, 0, 10)
-
-    def test_population_std(self):
-        stats = batch_stats(Batch(0, 5, (1, 2, 3, 4, 5)))
-        assert stats.mean == 3
-        assert stats.std == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    def test_single_sample_has_zero_std(self):
-        assert batch_stats(Batch(0, 1, (7,))).std == 0.0
-
-    def test_ordering_invariant(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            values = tuple(rng.uniform(0, 100, rng.integers(1, 30)))
-            stats = batch_stats(Batch(0, 1, values))
-            assert stats.min <= stats.mean <= stats.max
-            assert (stats.std == 0) == (len(set(values)) == 1)
 
 
 class TestBatchInvariants:

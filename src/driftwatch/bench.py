@@ -24,7 +24,6 @@ from the timed, untraced calls.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,7 @@ import numpy as np
 from .detectors import RULES, DriftDetector, DriftVerdict, ModelType
 from .scenario import GroundTruth, PhaseKind, ScenarioSpec, generate, label_batch
 from .telemetry import Batch, Series, batchify, concat_values
-from .validation import check_count, from_doc, to_doc
+from .validation import Document, check_count, to_doc
 
 try:
     import tracemalloc
@@ -110,7 +109,7 @@ class ModelStats:
 
 
 @dataclass
-class BenchReport:
+class BenchReport(Document, what="report", error=ValueError):
     """Aggregated comparison across scenarios, models, and repetition seeds."""
 
     scenarios: dict[str, dict[str, Any]]
@@ -124,22 +123,6 @@ class BenchReport:
     calibration_warnings: list[str]
     # Outside equality and report.json: emit_report writes one CSV per model.
     timelines: dict[str, list[tuple]] = field(default_factory=dict, compare=False, repr=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        """The JSON document: every field in declaration order but the
-        timelines, which :func:`emit_report` writes as CSV files."""
-        return to_doc(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "BenchReport":
-        return from_doc(cls, d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,9 @@ def _knob(default: Any, models: str, help: str, *,
           check: Callable[[Any, str], Any] | None = None, flag: str | None = None) -> Any:
     """A detector knob: a field whose metadata holds the ``models`` that read
     it (given as "kmeans/gmm"), its ``help`` text, the ``check`` of its domain
-    when the detector computes with it (a knob that goes verbatim to an engine
-    is checked there), and its CLI ``flag`` where that is not ``--<name with
-    dashes>``."""
+    when the detector computes with it or its engine calls it by another name
+    (any other knob goes verbatim to an engine that checks it under its own
+    name), and its CLI ``flag`` where that is not ``--<name with dashes>``."""
     return field(default=default, metadata={
         "models": tuple(map(ModelType, models.split("/"))), "help": help, "check": check,
         "flag": flag})
@@ -152,9 +152,9 @@ class DriftDetector:
     ap_preference_override: float | None = _knob(
         None, "affinity", "preference (default: lowest pairwise train similarity)",
         flag="--ap-preference")
-    ap_max_iter: int = _knob(500, "affinity", "message-passing iteration cap")
+    ap_max_iter: int = _knob(500, "affinity", "message-passing iteration cap", check=check_count)
     ap_convergence_iter: int = _knob(
-        15, "affinity", "sweeps with a stable exemplar set before convergence")
+        15, "affinity", "sweeps with a stable exemplar set before convergence", check=check_count)
     k_max: int = _knob(8, "kmeans/gmm", "silhouette search upper bound", check=_k_max)
     seed: int = 0
 

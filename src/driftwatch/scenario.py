@@ -9,7 +9,6 @@ computed on generated series are reproducible bit-for-bit.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Any
@@ -17,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .telemetry import Batch, Series
-from .validation import check_positive, from_doc, to_doc
+from .validation import Document, check_positive
 
 __all__ = [
     "ScenarioError",
@@ -55,7 +54,7 @@ _WALK_STEP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(Document, what="phase", error=ScenarioError):
     """One lifecycle phase: a level, its duration, and its texture.
 
     ``end_level`` (drift phases only) sets a linear trend target; other kinds
@@ -93,16 +92,9 @@ class PhaseSpec:
         if self.kind not in DEGRADED_KINDS and self.fluctuation_amp != 0.0:
             raise ScenarioError(f"{self.kind.value} phases cannot fluctuate; fluctuation_amp must be 0")
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_doc(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PhaseSpec":
-        return _load(cls, d, "phase")
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Document, what="scenario", error=ScenarioError):
     """A seeded lifecycle definition: tagged intent, phases, sampling rate."""
 
     intent_tag: str
@@ -124,20 +116,6 @@ class ScenarioSpec:
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=int(seed))
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_doc(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":
-        return _load(cls, d, "scenario")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(_parse(text, "scenario"))
-
 
 @dataclass(frozen=True)
 class PhaseBoundary:
@@ -146,7 +124,7 @@ class PhaseBoundary:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(Document, what="ground-truth", error=ScenarioError):
     """Phase start times (first at t=0) plus the scenario end time."""
 
     boundaries: tuple[PhaseBoundary, ...]
@@ -178,20 +156,6 @@ class GroundTruth:
     def drift_onsets(self) -> tuple[float, ...]:
         return tuple(b.start_t for b in self.boundaries if b.kind is PhaseKind.DRIFT)
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_doc(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GroundTruth":
-        return _load(cls, d, "ground-truth")
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        return cls.from_dict(_parse(text, "ground-truth"))
-
 
 def _check_finite(record: Any, *names: str) -> None:
     """Raise ScenarioError naming the first of record's fields that is not finite."""
@@ -199,24 +163,6 @@ def _check_finite(record: Any, *names: str) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ScenarioError(f"{name} must be finite, got {value}")
-
-
-def _parse(text: str, what: str) -> dict[str, Any]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid {what} JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{what} JSON must be an object")
-    return doc
-
-
-def _load(cls: type, doc: dict[str, Any], what: str) -> Any:
-    """cls read from its JSON document; any fault in it is a ScenarioError."""
-    try:
-        return from_doc(cls, doc)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"invalid {what} document: {exc}") from exc
 
 
 def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:

@@ -1,15 +1,16 @@
 """Input validation helpers shared by the estimators and clustering engines,
-and the one JSON codec of the package's records (:func:`to_doc` /
-:func:`from_doc`)."""
+and the one JSON codec of the package's records: :func:`to_doc`,
+:func:`from_doc` and :class:`Document`, a record's JSON text methods."""
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 import types
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, TypeVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -65,8 +66,8 @@ def check_unit_fraction(value: float, name: str) -> float:
 def to_doc(value: Any) -> Any:
     """A value as JSON holds it: a dataclass as an object of its compared
     fields in declaration order, a mapping by item, a tuple or list as a
-    list, an enum by its value, and an infinite float as null (JSON has no
-    infinity)."""
+    list, an enum by its value, and +inf as null.  JSON has no infinity and
+    no NaN, and null reads back as +inf, so NaN and -inf raise ValueError."""
     if is_dataclass(value):
         return {f.name: to_doc(getattr(value, f.name)) for f in fields(value) if f.compare}
     if isinstance(value, Mapping):
@@ -75,7 +76,11 @@ def to_doc(value: Any) -> Any:
         return [to_doc(v) for v in value]
     if isinstance(value, enum.Enum):
         return value.value
-    return None if isinstance(value, float) and math.isinf(value) else value
+    if isinstance(value, float) and not math.isfinite(value):
+        if value == math.inf:
+            return None
+        raise ValueError(f"JSON has no {value}; only +inf is written, as null")
+    return value
 
 
 def from_doc(cls: type, doc: Mapping[str, Any]) -> Any:
@@ -126,3 +131,41 @@ def _read(kind: Any, value: Any, path: str) -> Any:
     if kind is int and (isinstance(value, bool) or isinstance(value, float) and result != value):
         raise ValueError(f"{path}expected an integer, got {value!r}")
     return result
+
+
+_D = TypeVar("_D", bound="Document")
+
+
+class Document:
+    """Base of a dataclass record written as one JSON document.  A subclass
+    names the document and its readers' error in its class statement, as
+    ``class ScenarioSpec(Document, what="scenario", error=ScenarioError)``;
+    a reader raises that error for every fault, as "invalid <what> JSON: ...",
+    "<what> JSON must be an object" or "invalid <what> document: ..."."""
+
+    def __init_subclass__(cls, *, what: str, error: type[Exception]) -> None:
+        super().__init_subclass__()
+        cls._what, cls._error = what, error
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_doc(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_dict(cls: type[_D], doc: Mapping[str, Any]) -> _D:
+        try:
+            return from_doc(cls, doc)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise cls._error(f"invalid {cls._what} document: {exc}") from exc
+
+    @classmethod
+    def from_json(cls: type[_D], text: str) -> _D:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise cls._error(f"invalid {cls._what} JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise cls._error(f"{cls._what} JSON must be an object")
+        return cls.from_dict(doc)

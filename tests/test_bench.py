@@ -609,10 +609,10 @@ class TestReportBytes:
         assert BenchReport.from_json(GOLDEN_REPORT_JSON) == golden_report()
 
     @pytest.mark.parametrize("key", ["accuracy", "avg_detection_delay", "peak_memory_bytes", "memory_basis"])
-    def test_missing_per_model_key_raises_key_error(self, key):
+    def test_missing_per_model_key_raises_value_error_naming_it(self, key):
         doc = json.loads(GOLDEN_REPORT_JSON)
         del doc["per_model"]["greedy"][key]
-        with pytest.raises(KeyError, match=key):
+        with pytest.raises(ValueError, match=f"^invalid report document: '{key}'$"):
             BenchReport.from_dict(doc)
 
     @pytest.mark.parametrize("key", ["accuracy", "false_positive_rate", "avg_detection_delay",

@@ -246,6 +246,23 @@ class TestDetect:
         assert code == 1
         assert json_lines(out)[0]["drift"] is True
 
+    @pytest.mark.parametrize("level, code, summary", [
+        (400, 1, "greedy: DRIFT (score 2.2000) - greedy: max 400 vs limit 125"),
+        (100, 0, "greedy: no drift (score -0.2000) - greedy: max 100 vs limit 125"),
+    ])
+    def test_pretty_adds_a_summary_on_stderr(self, tmp_path, capsys, level, code, summary):
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        train.write_text("t,kbps\n" + "".join(f"{i},100\n" for i in range(10)))
+        test.write_text("t,kbps\n" + "".join(f"{i},{level}\n" for i in range(10)))
+        got, out, err = run_cli(
+            capsys, "detect", "--model", "greedy", "--train", str(train), "--test", str(test),
+            "--pretty",
+        )
+        assert got == code
+        assert len(json_lines(out)) == 1
+        assert err == f"{summary} (monitoring_max=100, margin=0.25)\n"
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "detect", "--model", "dbscan",
@@ -288,6 +305,8 @@ class TestDetect:
         ("greedy", "--margin", "inf", "margin must be finite and >= 0, got inf"),
         ("dbscan", "--eps-factor", "inf", "eps_factor must be finite and > 0, got inf"),
         ("kmeans", "--k-max", "1", "k_max must be an integer >= 2, got 1"),
+        ("affinity", "--ap-max-iter", "0", "ap_max_iter must be an integer >= 1, got 0"),
+        ("affinity", "--ap-convergence-iter", "0", "ap_convergence_iter must be an integer >= 1, got 0"),
     ])
     def test_a_knob_outside_its_domain_exits_2(self, capsys, capture, model, flag, value, reason):
         # an infinite margin once printed "drift": false with limit inf and exited 0
@@ -459,6 +478,17 @@ class TestBench:
         assert line["event"] == "report"
         assert line["total_runs"] == 2
         assert "dbscan" in err  # ranking table on stderr
+
+    def test_calibration_warnings_close_the_ranking_table(self, tmp_path, capsys):
+        # min_pts above any batch population cripples dbscan below greedy
+        code, out, err = run_cli(
+            capsys, "bench", "--models", "dbscan,greedy", "--presets", "qos",
+            "--reps", "1", "--min-pts", "50", "--out", str(tmp_path / "b"),
+        )
+        assert code == 0
+        (warning,) = json_lines(out)[0]["calibration_warnings"]
+        assert warning.startswith("calibration: dbscan accuracy")
+        assert err.splitlines()[-1] == f"WARNING: {warning}"
 
     def test_unknown_preset_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(

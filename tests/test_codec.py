@@ -1,6 +1,7 @@
 """The one JSON codec of the package's records: ``validation.to_doc`` writes a
 dataclass from its fields, ``validation.from_doc`` reads it back from its
-type hints."""
+type hints, and ``validation.Document`` gives each document record its JSON
+text methods and its readers' errors."""
 
 import json
 import math
@@ -15,10 +16,11 @@ from driftwatch.scenario import (
     PhaseBoundary,
     PhaseKind,
     PhaseSpec,
+    ScenarioError,
     ScenarioSpec,
     preset_security,
 )
-from driftwatch.validation import from_doc, to_doc
+from driftwatch.validation import Document, from_doc, to_doc
 
 PHASE = PhaseSpec(PhaseKind.DRIFT, 12.5, 800.0, end_level=650.0, noise_std=7.25,
                   fluctuation_amp=33.0)
@@ -55,6 +57,8 @@ def test_every_record_round_trips_through_json_text(name):
     assert list(doc) == [f.name for f in fields(record) if f.compare]
     text = json.dumps(doc, allow_nan=False)  # strict JSON: no Infinity or NaN
     assert from_doc(type(record), json.loads(text)) == record
+    if isinstance(record, Document):
+        assert type(record).from_json(record.to_json()) == record
 
 
 def test_enums_are_written_by_value_and_read_back_by_type():
@@ -128,5 +132,28 @@ def test_a_value_that_does_not_convert_names_its_field_path(value, reason):
 
 
 def test_mappings_are_written_by_item_and_sequences_as_lists():
-    value = {"a": (1.0, [math.inf, -math.inf]), "b": {"c": (PhaseKind.DRIFT,)}}
-    assert to_doc(value) == {"a": [1.0, [None, None]], "b": {"c": ["drift"]}}
+    value = {"a": (1.0, [math.inf, 2.5]), "b": {"c": (PhaseKind.DRIFT,)}}
+    assert to_doc(value) == {"a": [1.0, [None, 2.5]], "b": {"c": ["drift"]}}
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_nan_and_minus_infinity_are_refused(value):
+    # JSON has neither: NaN was written as a bare NaN, -inf as a null that reads back as +inf
+    for holder in (value, [1.0, value], {"a": value}, ModelStats(**{**vars(STATS), "accuracy": value})):
+        with pytest.raises(ValueError, match=f"^JSON has no {value}; only \\+inf is written, as null$"):
+            to_doc(holder)
+
+
+#: every record read from a JSON document, with its name in errors and its error
+DOCUMENTS = [(PhaseSpec, "phase", ScenarioError), (ScenarioSpec, "scenario", ScenarioError),
+             (GroundTruth, "ground-truth", ScenarioError), (BenchReport, "report", ValueError)]
+
+
+@pytest.mark.parametrize("cls, what, error", DOCUMENTS)
+def test_every_document_reader_raises_its_error_naming_the_document(cls, what, error):
+    for text, reason in [("{", f"^invalid {what} JSON: Expecting property name"),
+                         ("[1]", f"^{what} JSON must be an object$"),
+                         ("{}", f"^invalid {what} document: '")]:
+        with pytest.raises(error, match=reason):
+            cls.from_json(text)
+

@@ -154,6 +154,14 @@ class TestDecisionRules:
         verdict = detect([100.0, 80.0], [119.0], model="greedy", margin=0.2)
         assert verdict.drift is False
 
+    @pytest.mark.parametrize("model", ["greedy", "kmeans", "gmm"])
+    def test_a_zero_threshold_flags_any_positive_statistic(self, model):
+        # all-zero training gives a threshold of 0, so the ratio score is the sign alone
+        det = DriftDetector(model).fit(np.zeros(90))
+        for batch, expected in [(np.zeros(18), (False, 0.0)), (np.r_[np.zeros(17), 50.0], (True, 1.0))]:
+            verdict = det.evaluate(batch)
+            assert (verdict.drift, verdict.score) == expected
+
     @pytest.mark.parametrize("model, params, reason", [
         ("greedy", {"margin": math.nan}, "margin must be >= 0"),
         ("affinity", {"ap_preference_override": math.nan}, "preference must be finite"),
@@ -220,11 +228,13 @@ class TestDecisionRules:
 
 
 #: (model, knob, a finite value outside its domain) for every model and every
-#: knob it reads that the detector checks itself.
+#: knob it reads that the detector checks itself.  Affinity's engine calls
+#: its counts max_iter and convergence_iter, so the detector checks them too.
 CHECKED_KNOBS = [
     ("kmeans", "multiplier", 0.0), ("gmm", "multiplier", -1.0), ("greedy", "margin", -0.5),
     ("dbscan", "eps_factor", 0.0), ("hierarchical", "threshold_fraction", -0.1),
     ("affinity", "ap_multiplier", 0.0), ("kmeans", "k_max", 1), ("gmm", "k_max", 2.5),
+    ("affinity", "ap_max_iter", 0), ("affinity", "ap_convergence_iter", 0),
 ]
 
 
@@ -249,7 +259,8 @@ class TestKnobChecks:
             models = {m.value for m in f.metadata["models"]}
             assert models and models <= set(MODEL_NAMES), f.name
         assert {f.name for f in knobs if f.metadata["check"]} == {
-            "multiplier", "margin", "eps_factor", "threshold_fraction", "ap_multiplier", "k_max"}
+            "multiplier", "margin", "eps_factor", "threshold_fraction", "ap_multiplier", "k_max",
+            "ap_max_iter", "ap_convergence_iter"}
         assert {(m.value, f.name) for f in knobs if f.metadata["check"]
                 for m in f.metadata["models"]} == {(m, k) for m, k, _ in CHECKED_KNOBS}
 
@@ -260,7 +271,7 @@ class TestKnobChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
     def test_an_engine_count_that_is_not_a_count_is_a_value_error(self, model, knob, bad):
         # an infinite count once raised OverflowError, a NaN one an unnamed
-        # ValueError, and True passed as 1; the engine names its parameter
+        # ValueError, and True passed as 1
         with pytest.raises(ValueError, match=r"must be an integer >= \d, got "):
             DriftDetector(model, **{knob: bad}).fit([100.0, 101.0, 102.0, 200.0, 201.0, 202.0])
 

@@ -132,6 +132,15 @@ class TestPhaseSpecInvariants:
         with pytest.raises(ScenarioError):
             PhaseSpec(PhaseKind.NORMAL, 0, 100)
 
+    def test_a_scenario_needs_a_phase(self):
+        with pytest.raises(ScenarioError, match="^scenario needs at least one phase$"):
+            ScenarioSpec("x", ())
+
+    @pytest.mark.parametrize("starts", [(), (1.0,)])
+    def test_truth_starts_at_zero(self, starts):
+        with pytest.raises(ScenarioError, match="^ground truth must start at t = 0$"):
+            GroundTruth(tuple(PhaseBoundary(t, PhaseKind.NORMAL) for t in starts), 9.0)
+
 
 DRIFT_PHASE = {"kind": "drift", "duration": 9.0, "base_level": 100.0, "end_level": 120.0,
                "noise_std": 2.0, "fluctuation_amp": 5.0}
@@ -240,6 +249,11 @@ class TestLabelBatch:
         with pytest.raises(ScenarioError):
             label_batch(Batch(35, 45, (1,) * 10), truth)
 
+    @pytest.mark.parametrize("t", [-0.5, 41.0])
+    def test_phase_at_outside_span_raises(self, truth, t):
+        with pytest.raises(ScenarioError, match=rf"^t={t} outside scenario span \[0, 40.0\)$"):
+            truth.phase_at(t)
+
     def test_consistency_across_placements(self, truth):
         for start in range(0, 32):
             batch = Batch(float(start), float(start + 8), (1,) * 8)
@@ -307,6 +321,9 @@ class TestSerialization:
         ("duration", "abc", "could not convert string to float: 'abc'"),
         ("base_level", None, "base_level must be finite, got inf"),  # a null float is infinity
         ("duration", -1, "phase duration must be > 0"),
+        ("base_level", -1, "base_level must be >= 0, got -1.0"),
+        ("noise_std", -1, "noise_std must be >= 0, got -1.0"),
+        ("fluctuation_amp", -1, "fluctuation_amp must be >= 0, got -1.0"),
         (None, 1, "expected an object, got 1"),  # the phase itself is not an object
     ])
     def test_malformed_documents_name_the_document_and_the_fault(self, key, value, reason):

@@ -16,9 +16,8 @@ the tracer slows Python-level allocation several-fold.  Memory is measured
 apart from it: a fresh clone of the detector replays the protocol steps,
 untimed, under the interpreter's allocation-tracing hook.  ``run_scenario``
 traces every step; ``compare_models`` traces only :data:`MEMORY_SUBSET` and
-names it in ``memory_basis``.  If tracing is unavailable the per-engine
-analytic estimate below is used and the basis says so.  Verdicts always come
-from the timed, untraced calls.
+names it in ``memory_basis``.  Verdicts always come from the timed,
+untraced calls.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import tracemalloc
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -37,11 +37,6 @@ from .detectors import RULES, DriftDetector, DriftVerdict, ModelType
 from .scenario import GroundTruth, PhaseKind, ScenarioSpec, generate, label_batch
 from .telemetry import Batch, Series, batchify, concat_values
 from .validation import Document, check_count, to_doc
-
-try:
-    import tracemalloc
-except ImportError:  # pragma: no cover - tracemalloc ships with CPython
-    tracemalloc = None
 
 __all__ = [
     "ProtocolError",
@@ -105,7 +100,7 @@ class ModelStats:
     avg_detection_delay: float  # seconds; +inf when never detected
     avg_compute_time: float
     peak_memory_bytes: int
-    memory_basis: str  # "measured: <traced subset>" | "estimated: <traced subset>"
+    memory_basis: str  # "measured: <traced subset>"
 
 
 @dataclass
@@ -129,45 +124,33 @@ class BenchReport(Document, what="report", error=ValueError):
 # Resource measurement
 # ---------------------------------------------------------------------------
 
-def _measure(fn: Callable[[], Any]) -> tuple[Any, float, int, str]:
-    """Run fn, returning (result, wall seconds, peak allocated bytes, basis)."""
-    if tracemalloc is None:
-        t0 = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - t0, -1, "estimated"
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    t0 = time.perf_counter()
-    result = fn()
-    elapsed = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    if started_here:
-        tracemalloc.stop()
-    return result, elapsed, max(0, peak - base), "measured"
-
-
-def _timed(fn: Callable[[], Any], n: int) -> tuple[Any, float]:
-    """Run fn (on n points) untraced; return (result, wall seconds)."""
+def _timed(fn: Callable[[], Any]) -> tuple[Any, float]:
+    """Run fn untraced; return (result, wall seconds)."""
     t0 = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - t0
 
 
-def _allocation(model: ModelType, fn: Callable[[], Any], n: int) -> tuple[Any, int]:
-    """Run fn traced and untimed; return (result, peak bytes or the n-point estimate)."""
-    result, _, peak, basis = _measure(fn)
-    return result, peak if basis == "measured" else memory_estimate(model, n)
+def _traced(fn: Callable[[], Any]) -> tuple[Any, int]:
+    """Run fn untimed under allocation tracing; return (result, peak bytes
+    allocated above the traced size before the call)."""
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started_here:
+            tracemalloc.stop()
+    return result, max(0, peak - base)
 
 
 def memory_estimate(model: ModelType | str, n: int) -> int:
     """Analytic working-set estimate (bytes) for one fit/evaluate on n points,
-    from the model's ``memory`` entry in :data:`~driftwatch.detectors.RULES`.
-
-    Used when allocation tracing is unavailable.
-    """
+    from the model's ``memory`` entry in :data:`~driftwatch.detectors.RULES`."""
     c, p = RULES[ModelType.coerce(model)].memory
     return int(c * 8 * n**p)
 
@@ -238,22 +221,22 @@ def protocol_steps(
     batches: Sequence[Batch],
     train_idx: Sequence[int],
     protocol: BenchProtocol,
-    call: Callable[[Callable[[], Any], int], tuple[Any, Any]] = _timed,
+    call: Callable[[Callable[[], Any]], tuple[Any, Any]] = _timed,
 ):
     """Fit det on the training batches, then evaluate every later batch,
     refitting every ``protocol.refit_every`` evaluations on the batches just
     before.  Yields (batch index, batch, verdict, fit cost, evaluate cost) per
     evaluated batch; the fit cost covers the fits since the previous yield.
-    ``call(fn, n)`` runs one fit or evaluate on n points and returns
-    (result, cost); the default times it untraced, in seconds."""
+    ``call(fn)`` runs one fit or evaluate and returns (result, cost); the
+    default times it untraced, in seconds."""
     train = concat_values(batches[i] for i in train_idx)
-    _, fit_cost = call(lambda: det.fit(train), train.size)
+    _, fit_cost = call(lambda: det.fit(train))
     for j, bi in enumerate(range(train_idx[-1] + 1, len(batches))):
         batch = batches[bi]
         if protocol.refit_every > 0 and j > 0 and j % protocol.refit_every == 0:
             window = concat_values(batches[max(0, bi - protocol.train_window_batches):bi])
-            _, fit_cost = call(lambda: det.fit(window), window.size)
-        verdict, cost = call(lambda: det.evaluate(batch.values), len(batch.values))
+            _, fit_cost = call(lambda: det.fit(window))
+        verdict, cost = call(lambda: det.evaluate(batch.values))
         yield bi, batch, verdict, fit_cost, cost
         fit_cost = 0
 
@@ -285,10 +268,8 @@ def _run_scenario(
     for name, proto in dets.items():
         model = ModelType.coerce(proto.model)
         timed = list(protocol_steps(_clone(proto), batches, train_idx, protocol))
-        traced = islice(protocol_steps(
-            _clone(proto), batches, train_idx, protocol,
-            lambda fn, n: _allocation(model, fn, n),
-        ), traced_records)
+        traced = islice(protocol_steps(_clone(proto), batches, train_idx, protocol, _traced),
+                        traced_records)
         peaks = [fit + evaluate for *_, fit, evaluate in traced]
         peaks += [0] * (len(timed) - len(peaks))
         by_model[name] = [
@@ -394,7 +375,7 @@ def compare_models(
     runs: dict[str, list[dict[str, float]]] = {m: [] for m in dets}
     times: dict[str, list[float]] = {m: [] for m in dets}
     peaks: dict[str, int] = {m: 0 for m in dets}
-    basis = f"{'estimated' if tracemalloc is None else 'measured'}: {MEMORY_SUBSET}"
+    basis = f"measured: {MEMORY_SUBSET}"
     timelines: dict[str, list[tuple]] = {}
 
     for s_index, (scenario_name, spec) in enumerate(scenarios.items()):

@@ -158,8 +158,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     truth_path = Path(args.out + ".truth.json")
     with csv_path.open("w", encoding="utf-8") as fh:
         render_csv(series, fh)
-    doc = {**truth.to_dict(), "intent_tag": spec.intent_tag, "seed": spec.seed}
-    truth_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    truth_path.write_text(truth.to_json() + "\n", encoding="utf-8")
     _emit(
         {
             "event": "generated",

@@ -125,10 +125,13 @@ class PhaseBoundary:
 
 @dataclass(frozen=True)
 class GroundTruth(Document, what="ground-truth", error=ScenarioError):
-    """Phase start times (first at t=0) plus the scenario end time."""
+    """Phase start times (first at t=0) plus the scenario end time, and the
+    intent tag and seed of the scenario generated (unset when built by hand)."""
 
     boundaries: tuple[PhaseBoundary, ...]
     end_t: float
+    intent_tag: str = ""
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundaries", tuple(self.boundaries))
@@ -202,7 +205,7 @@ def generate(spec: ScenarioSpec) -> tuple[Series, GroundTruth]:
 
     np.clip(values, 0.0, None, out=values)
     series = Series._adopt(columns, meta=spec.intent_tag)
-    return series, GroundTruth(tuple(boundaries), total)
+    return series, GroundTruth(tuple(boundaries), total, spec.intent_tag, spec.seed)
 
 
 def _bounded_walk(rng: np.random.Generator, n: int, amp: float) -> np.ndarray:

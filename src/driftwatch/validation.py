@@ -143,9 +143,14 @@ class Document:
     a reader raises that error for every fault, as "invalid <what> JSON: ...",
     "<what> JSON must be an object" or "invalid <what> document: ..."."""
 
-    def __init_subclass__(cls, *, what: str, error: type[Exception]) -> None:
+    __slots__ = ()
+
+    def __init_subclass__(cls, *, what: str | None = None, error: type[Exception] | None = None) -> None:
         super().__init_subclass__()
-        cls._what, cls._error = what, error
+        if what is not None and error is not None:
+            cls._what, cls._error = what, error
+        elif not {"_what", "_error"} <= cls.__dict__.keys():  # slots=True rebuilds without keywords
+            raise TypeError(f"{cls.__name__} must name what= and error= in its class statement")
 
     def to_dict(self) -> dict[str, Any]:
         return to_doc(self)

@@ -15,8 +15,8 @@ from driftwatch.bench import (
     ProtocolError,
     RunRecord,
     _jsonable_params,
-    _measure,
     _run_scenario,
+    _traced,
     accuracy,
     compare_models,
     detection_delay,
@@ -251,16 +251,33 @@ class TestMemoryAccounting:
         n = 200
         rng = np.random.default_rng(1)
         data = rng.uniform(0, 100, n)
-        _, _, peak, basis = _measure(lambda: affinity_propagation(data, max_iter=30))
-        assert basis == "measured"
+        _, peak = _traced(lambda: affinity_propagation(data, max_iter=30))
         assert peak >= 3 * n * n * 8  # similarity, responsibility, availability
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="allocation tracing is on for the whole process")
+    def test_traced_inside_outer_tracing_leaves_it_on_and_counts_from_the_outer_base(self):
+        tracemalloc.start()
+        try:
+            held = np.ones(100_000)  # 800 kB traced before the call
+            np.ones(1_000_000).sum()  # an 8 MB peak before the call, freed
+            _, peak = _traced(lambda: np.ones(10_000).sum())
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert held.size == 100_000 and 80_000 <= peak < 800_000  # the call's 80 kB alone
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="allocation tracing is on for the whole process")
+    def test_traced_stops_the_tracing_it_started_when_the_call_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            _traced(lambda: 1 / 0)
+        assert not tracemalloc.is_tracing()
 
     def test_greedy_constant_auxiliary_memory(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(0, 100, 512)
         det = DriftDetector("greedy")
-        _, _, fit_peak, _ = _measure(lambda: det.fit(data))
-        _, _, eval_peak, _ = _measure(lambda: det.evaluate(data))
+        _, fit_peak = _traced(lambda: det.fit(data))
+        _, eval_peak = _traced(lambda: det.evaluate(data))
         assert max(fit_peak, eval_peak) < 100_000  # input copies only, no matrices
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="allocation tracing is on for the whole process")
@@ -306,8 +323,7 @@ class TestMemoryAccounting:
         x = np.concatenate([rng.normal(1000.0, 40.0, n // 2), rng.normal(1600.0, 40.0, n - n // 2)])
         det = DriftDetector(model)
         det.fit(x)  # first call pays one-off lazy imports
-        _, _, peak, basis = _measure(lambda: det.fit(x))
-        assert basis == "measured"
+        _, peak = _traced(lambda: det.fit(x))
         assert 0.5 <= peak / memory_estimate(model, n) <= 2.0, (peak, memory_estimate(model, n))
 
     def test_capture_scale_optics_fit_is_within_2x_of_the_estimate(self):
@@ -317,8 +333,7 @@ class TestMemoryAccounting:
         x = np.concatenate([rng.normal(1000.0, 40.0, n // 2), rng.normal(1600.0, 40.0, n - n // 2)])
         det = DriftDetector("optics")
         det.fit(x)  # first call pays one-off lazy imports
-        _, _, peak, basis = _measure(lambda: det.fit(x))
-        assert basis == "measured"
+        _, peak = _traced(lambda: det.fit(x))
         assert 0.5 <= peak / memory_estimate("optics", n) <= 2.0, (peak, memory_estimate("optics", n))
 
     @pytest.mark.parametrize("model", ["kmeans", "gmm"])
@@ -329,8 +344,7 @@ class TestMemoryAccounting:
         x = concat_values(batches[i] for i in training_window(batches, truth, 5))
         assert x.size == 90
         det = DriftDetector(model)
-        _, _, peak, basis = _measure(lambda: det.fit(x))
-        assert basis == "measured"
+        _, peak = _traced(lambda: det.fit(x))
         assert peak <= 2 * memory_estimate(model, x.size), (peak, memory_estimate(model, x.size))
 
 

@@ -595,3 +595,12 @@ class TestFitCost:
         records = run_scenario(PRESETS["qos"]().with_seed(0), SlowFit("greedy"))
         assert records[0].compute_time >= SlowFit.FIT_S
         assert all(r.compute_time < SlowFit.FIT_S for r in records[1:])
+
+    def test_bench_folds_each_refit_into_the_record_after_it(self):
+        spec = ScenarioSpec("steady", (PhaseSpec(PhaseKind.FULFILLMENT, 270, 800, noise_std=40),))
+        by_model, _, _ = _run_scenario(spec, SlowFit("greedy"), BenchProtocol(refit_every=10),
+                                       traced_records=0)
+        (records,) = by_model.values()
+        assert len(records) == 25
+        slow = [i for i, r in enumerate(records) if r.compute_time >= SlowFit.FIT_S]
+        assert slow == [0, 10, 20]

@@ -5,7 +5,7 @@ text methods and its readers' errors."""
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -92,7 +92,7 @@ def test_a_null_optional_stays_null_and_a_null_float_is_infinity():
 
 def test_unknown_keys_are_ignored():
     truth = RECORDS["GroundTruth"]
-    doc = {**to_doc(truth), "intent_tag": "intent-b-security", "seed": 7}
+    doc = {**to_doc(truth), "comment": "written by another tool"}
     assert from_doc(GroundTruth, doc) == truth
     assert from_doc(ModelStats, {**to_doc(STATS), "extra": [1, 2]}) == STATS
 
@@ -157,3 +157,23 @@ def test_every_document_reader_raises_its_error_naming_the_document(cls, what, e
         with pytest.raises(error, match=reason):
             cls.from_json(text)
 
+
+
+def test_a_slotted_record_is_a_document():
+    @dataclass(frozen=True, slots=True)
+    class R(Document, what="r", error=LookupError):
+        a: int
+        b: float = 1.5
+
+    record = R(3)
+    assert R.from_json(record.to_json()) == record
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(LookupError, match="^r JSON must be an object$"):
+        R.from_json("[1]")
+
+
+@pytest.mark.parametrize("declared", [{}, {"what": "r"}, {"error": ValueError}])
+def test_a_document_that_does_not_name_itself_and_its_error_is_refused(declared):
+    with pytest.raises(TypeError, match="^R must name what= and error= in its class statement$"):
+        class R(Document, **declared):
+            pass

@@ -270,6 +270,11 @@ class TestSerialization:
         _, truth = generate(preset_qos())
         assert GroundTruth.from_json(truth.to_json()) == truth
 
+    def test_truth_names_the_scenario_it_came_from(self):
+        spec = preset_qos().with_seed(5)
+        _, truth = generate(spec)
+        assert (truth.intent_tag, truth.seed) == (spec.intent_tag, 5)
+
     @staticmethod
     def assert_no_default_left(record):
         """Every field with a default differs from what a record built from
@@ -287,17 +292,17 @@ class TestSerialization:
         spec = ScenarioSpec("every-field", (phase, PhaseSpec(PhaseKind.FAILURE, 4.0, 0.0)),
                             sample_period=0.25, seed=17)
         truth = GroundTruth((PhaseBoundary(0.0, PhaseKind.FULFILLMENT),
-                             PhaseBoundary(12.5, PhaseKind.DRIFT)), end_t=16.5)
-        for record in (phase, spec):
-            self.assert_no_default_left(record)
+                             PhaseBoundary(12.5, PhaseKind.DRIFT)), end_t=16.5,
+                            intent_tag="every-field", seed=17)
         for record in (phase, spec, truth):
+            self.assert_no_default_left(record)
             assert list(record.to_dict()) == [f.name for f in fields(record)]
         assert PhaseSpec.from_dict(phase.to_dict()) == phase
         assert ScenarioSpec.from_json(spec.to_json()) == spec
         assert GroundTruth.from_json(truth.to_json()) == truth
         assert truth.to_dict() == {"boundaries": [{"start_t": 0.0, "kind": "fulfillment"},
                                                   {"start_t": 12.5, "kind": "drift"}],
-                                   "end_t": 16.5}
+                                   "end_t": 16.5, "intent_tag": "every-field", "seed": 17}
 
     def test_missing_optional_keys_take_the_defaults(self):
         doc = {"intent_tag": "x", "phases": [{"kind": "drift", "duration": 3, "base_level": 40}]}
@@ -362,6 +367,17 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match=f"^invalid scenario document: seed: expected an integer, got {reason}$"):
             ScenarioSpec.from_json(doc.replace('"VALUE"', text))
         assert ScenarioSpec.from_json(doc.replace('"VALUE"', "4.0")).seed == 4
+
+    @pytest.mark.parametrize("text, reason", [
+        ("2.7", "expected an integer, got 2.7"),
+        ('"x"', r"invalid literal for int\(\) with base 10: 'x'"),
+    ])
+    def test_a_truth_seed_that_is_no_integer_is_a_scenario_error(self, text, reason):
+        doc = json.dumps({"boundaries": [{"start_t": 0, "kind": "drift"}], "end_t": 9, "seed": "VALUE"})
+        with pytest.raises(ScenarioError, match=f"^invalid ground-truth document: seed: {reason}$"):
+            GroundTruth.from_json(doc.replace('"VALUE"', text))
+        assert GroundTruth.from_json(doc.replace('"VALUE"', "4.0")).seed == 4
+        assert GroundTruth.from_json(doc.replace('"VALUE"', "null")).seed is None
 
     def test_an_overflowing_integer_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="^invalid scenario document: seed: cannot convert"):

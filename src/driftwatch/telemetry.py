@@ -34,6 +34,8 @@ CSV_HEADER = "t,kbps"
 # is two lists of this many floats, whatever the series length.
 _CSV_CHUNK = 4096
 
+_BOM = "\ufeff"  # a UTF-8 byte-order mark, dropped from line 1 before the header rule
+
 
 class TelemetryError(ValueError):
     """Malformed or inconsistent telemetry input."""
@@ -155,9 +157,10 @@ def ingest_csv(source: IO[bytes] | IO[str], meta: str = "") -> Series:
     """Parse `t_seconds,throughput_kbps` lines into a series.
 
     A single leading header line is skipped when its first column is not
-    numeric.  Raises :class:`TelemetryError` with the line number of the first
-    bad record: malformed, non-monotonic in time, negative or non-finite.
-    Raises it too on empty input.
+    numeric; a leading UTF-8 byte-order mark is no part of that column.
+    Raises :class:`TelemetryError` with the line number of the first bad
+    record: malformed, non-monotonic in time, negative or non-finite.  Raises
+    it too on empty input.
 
     A seekable source goes to numpy's C reader in one call, once line 1 has
     been read under the header rule.  Its rows are kept only when each has two
@@ -193,9 +196,12 @@ def _loadtxt_rows(source, start: int) -> np.ndarray | None:
     applied, or None when the line after a header or blank line 1 is blank
     too (numpy warns on a body with no rows)."""
     first = source.readline()
-    line = (first.decode("utf-8") if isinstance(first, bytes) else first).strip()
+    bom = _BOM.encode() if isinstance(first, bytes) else _BOM
+    skip = len(bom) if first.startswith(bom) else 0
+    line = (first[skip:].decode("utf-8") if isinstance(first, bytes) else first[skip:]).strip()
     if line and _is_number(line.split(",")[0]):
         source.seek(start)  # line 1 is a record
+        source.read(skip)  # numpy's reader takes no BOM
     else:
         body = source.tell()
         if not source.readline().strip():
@@ -220,6 +226,8 @@ def _ingest_lines(source: Iterable[bytes] | Iterable[str], meta: str = "") -> Se
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise fail(lineno, f"not valid UTF-8 ({exc})") from exc
+        if lineno == 1:
+            raw = raw.removeprefix(_BOM)
         line = raw.strip()
         if not line:
             continue

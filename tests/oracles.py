@@ -230,7 +230,9 @@ def agglomerative_reference(x, threshold: float, linkage: str) -> tuple[int, ...
         pick = None
         for a, b in itertools.combinations(range(len(clusters)), 2):
             d = link(clusters[a], clusters[b])
-            key = (d, min(clusters[a] + clusters[b]), min(clusters[b] + clusters[a]))
+            # the engine's tie rule: the lowest (lower, higher) pair of lowest members
+            low_a, low_b = min(clusters[a]), min(clusters[b])
+            key = (d, min(low_a, low_b), max(low_a, low_b))
             if pick is None or d < best - 1e-15 or (abs(d - best) <= 1e-15 and key < pick[0]):
                 best = d
                 pick = (key, a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftwatch.cluster import NOISE, dbscan, dbscan_count
-from driftwatch.cluster.dbscan import _neighbourhoods
+from driftwatch.cluster.dbscan import _sweep
 
 from oracles import canonical, dbscan_reference, mixture_data
 
@@ -71,12 +71,42 @@ class TestDbscanProperties:
         assert res.centroids[1] == pytest.approx(11.0)
 
 
+def neighbourhoods(xs, eps):
+    """Per sorted value, its range [start, end) as :func:`dbscan` derives it:
+    ``end`` from the sweep, ``start`` from ``end`` by symmetry."""
+    end = np.array(_sweep(xs.tolist(), eps, 1)[1])
+    return end.searchsorted(np.arange(xs.size), "right"), end
+
+
 def check_neighbourhoods(xs, eps):
-    """``_neighbourhoods`` equals a scalar scan of fl(|xs[j] - xs[i]|) <= eps."""
-    start, end = _neighbourhoods(xs, eps)
+    """Both range ends equal a scalar scan of fl(|xs[j] - xs[i]|) <= eps."""
+    start, end = neighbourhoods(xs, eps)
     for i, v in enumerate(xs.tolist()):
         inside = [j for j, w in enumerate(xs.tolist()) if abs(w - v) <= eps]
         assert (start[i], end[i]) == (inside[0], inside[-1] + 1)
+
+
+def _exact(data, eps):
+    """The sorted values and their exact neighbourhood matrix, fl(|x_i - x_j|) <= eps."""
+    x = np.sort(np.asarray(data, dtype=float))
+    return x, np.abs(x[:, None] - x[None, :]) <= eps
+
+
+def check_against_matrix(data, eps, min_pts):
+    """An oracle for sets too large for the reference: the sweep's ranges,
+    dbscan()'s labelled points and both cluster counts against the exact
+    matrix.  Consecutive sorted core points share a cluster iff the matrix
+    links them, since each neighbourhood is a contiguous range."""
+    x, exact = _exact(data, eps)
+    start, end = neighbourhoods(x, eps)
+    assert np.array_equal(start, exact.argmax(axis=1))
+    assert np.array_equal(end, x.size - exact[:, ::-1].argmax(axis=1))
+    core = exact.sum(axis=1) >= min_pts
+    cores = np.flatnonzero(core)
+    clusters = 1 + np.count_nonzero(~exact[cores[:-1], cores[1:]]) if cores.size else 0
+    res = dbscan(data, eps, min_pts)
+    assert np.count_nonzero(res.labels != NOISE) == np.count_nonzero(exact[:, core].any(axis=1))
+    assert dbscan_count(data, eps, min_pts) == res.n_clusters == clusters
 
 
 class TestDbscanCount:
@@ -102,7 +132,8 @@ class TestDbscanCount:
 
     def test_random_sizes_up_to_2000(self):
         # every size the sweep may meet, min_pts sometimes above n; the
-        # reference's closure is cubic in n, so it checks the small sets only
+        # reference's closure is cubic in n, so it checks the small sets only,
+        # and the exact matrix checks every set
         rng = np.random.default_rng(47)
         for trial in range(60):
             n = int(rng.integers(1, 2001 if trial % 2 else 41))
@@ -111,10 +142,10 @@ class TestDbscanCount:
                 data = np.round(data, int(rng.integers(0, 2)))
             eps = float(rng.choice([0.1, 0.3, 1.0, 2.5, 8.0]))
             min_pts = n + int(rng.integers(1, 3)) if rng.random() < 0.2 else int(rng.integers(1, 10))
-            count = dbscan_count(data, eps, min_pts)
-            assert count == dbscan(data, eps, min_pts).n_clusters
+            check_against_matrix(data, eps, min_pts)
             if n <= 40:
-                assert count == len(set(dbscan_reference(data, eps, min_pts)) - {NOISE})
+                expected = len(set(dbscan_reference(data, eps, min_pts)) - {NOISE})
+                assert dbscan_count(data, eps, min_pts) == expected
 
     @pytest.mark.parametrize("eps", [1.0, 1e308, np.inf])
     def test_distances_that_overflow(self, eps):
@@ -146,9 +177,9 @@ class TestDbscanCount:
 
 def _bound_rounding_differs(data, eps) -> bool:
     """True when some pair is in range under |x_i - x_j| <= eps but not under
-    x_j <= x_i + eps (or the reverse): the binary-search guesses need fixing."""
-    x = np.sort(np.asarray(data, dtype=float))
-    exact = np.abs(x[:, None] - x[None, :]) <= eps
+    x_j <= x_i + eps (or the reverse): a search on the rounded bound would
+    misplace a range end."""
+    x, exact = _exact(data, eps)
     shifted = (x[None, :] <= x[:, None] + eps) & (x[None, :] >= x[:, None] - eps)
     return bool(np.any(exact != shifted))
 
@@ -175,10 +206,10 @@ class TestDbscanBoundaryTies:
                     self.check(data, eps, min_pts)
                     self.check(rng.permutation(data), eps, min_pts)
         assert covered  # the grids do exercise the rounding mismatch
-        for n in (500, 2000):  # too large for the reference: the count against the labels
+        for n in (500, 2000):  # too large for the reference: the exact matrix
             data = rng.permutation(0.1 * np.arange(n))
             for eps, min_pts in ((0.1, 1), (0.1, 3), (0.3, 4), (0.3, 7), (0.3, 8)):
-                assert dbscan_count(data, eps, min_pts) == dbscan(data, eps, min_pts).n_clusters
+                check_against_matrix(data, eps, min_pts)
 
     def test_rounded_mixtures_with_duplicates(self):
         rng = np.random.default_rng(17)

@@ -51,12 +51,19 @@ class TestAgglomerativeProperties:
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
     def test_matches_naive_reference(self, linkage):
         rng = np.random.default_rng(31)
-        for trial in range(25):
-            data = mixture_data(rng, int(rng.integers(3, 14)))
-            threshold = float(rng.uniform(0.5, 40.0))
+        cases = [(mixture_data(rng, int(rng.integers(3, 14))), float(rng.uniform(0.5, 40.0)))
+                 for _ in range(25)]
+        # Duplicate-heavy sets, where ties between pairs decide the merges.
+        # Whole and half values keep average linkage's distances exact, so
+        # the naive recomputation ties exactly where the engine does.
+        cases.append(([1, 3, 1, 1, 2, 0, 2], 1.62))
+        for trial in range(60):
+            data = rng.integers(0, 6, int(rng.integers(3, 11))) * (0.5 if trial % 2 else 1.0)
+            cases.append((data, float(rng.uniform(0.3, 3.0))))
+        for data, threshold in cases:
             mine = agglomerative(data, threshold, linkage)
             ref = agglomerative_reference(data, threshold, linkage)
-            assert canonical(mine.labels) == canonical(ref)
+            assert canonical(mine.labels) == canonical(ref), (data, threshold)
 
     def test_single_linkage_permutation_invariant(self):
         rng = np.random.default_rng(13)

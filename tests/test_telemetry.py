@@ -150,7 +150,8 @@ INGEST_CASES = [
     b"0,\xd9\xa1\n",  # an Arabic-Indic digit one
     b"0,1\n1,2\xc2\xa0\n",  # a trailing no-break space
     b"\xef\xbb\xbft,kbps\n0,1\n",
-    b"\xef\xbb\xbf0,1\n1,2\n",  # a BOM makes line 1 a header
+    b"\xef\xbb\xbf0,1\n1,2\n",  # a BOM is no part of line 1
+    b"\xef\xbb\xbf\n0,1\n",
     b"t,kb\xffps\n0,1\n",
     b"0,1\n1,2\xa0\n",
     b"#t,kbps\n0,1\n",
@@ -206,14 +207,16 @@ class TestIngestPaths:
             raise AssertionError("per-line loop used")
 
         monkeypatch.setattr(telemetry, "_ingest_lines", refuse)
-        for data in (b"t,kbps\n0,1\n1,2\n", b"0,1\r\n1,2\r\n"):
+        for data in (b"t,kbps\n0,1\n1,2\n", b"0,1\r\n1,2\r\n",  # and a BOM keeps 0,1:
+                     b"\xef\xbb\xbft,kbps\n0,1\n1,2\n", b"\xef\xbb\xbf0,1\n1,2\n"):
             series = ingest_csv(io.BytesIO(data), meta="m")
             assert series == Series([(0, 1), (1, 2)], meta="m")
             assert ingest_csv(io.StringIO(data.decode())) == Series([(0, 1), (1, 2)])
 
     def test_source_that_cannot_rewind_uses_the_line_loop(self):
-        lines = ["t,kbps\n", "0,1\n", "1,2\n"]
-        assert ingest_csv(lines) == ingest_csv(iter(lines)) == Series([(0, 1), (1, 2)])
+        for lines in (["t,kbps\n", "0,1\n", "1,2\n"], ["\ufefft,kbps\n", "0,1\n", "1,2\n"],
+                      ["\ufeff0,1\n", "1,2\n"], [b"\xef\xbb\xbf0,1\n", b"1,2\n"]):
+            assert ingest_csv(lines) == ingest_csv(iter(lines)) == Series([(0, 1), (1, 2)])
         with pytest.raises(TelemetryError, match="^line 3: "):
             ingest_csv(iter(["0,1\n", "\n", "0,2\n"]))
 

@@ -32,7 +32,6 @@ from .cluster import (
     dbscan,
     gmm_assign,
     gmm_fit,
-    greedy_max,
     kmeans,
     ocsvm_predict,
     ocsvm_train,

@@ -8,7 +8,6 @@ its result is a function of (data, parameters).
 from .affinity import affinity_propagation
 from .dbscan import dbscan, dbscan_count
 from .gmm import GmmModel, gmm_assign, gmm_fit, gmm_responsibilities
-from .greedy import greedy_max
 from .hierarchy import LINKAGES, agglomerative
 from .kmeans import kmeans
 from .ocsvm import OcsvmModel, ocsvm_predict, ocsvm_train
@@ -31,7 +30,6 @@ __all__ = [
     "gmm_assign",
     "gmm_fit",
     "gmm_responsibilities",
-    "greedy_max",
     "kmeans",
     "ocsvm_predict",
     "ocsvm_train",

@@ -35,12 +35,6 @@ def kmeans(data, k: int, *, seed: int = 0) -> ClusterResult:
     order = np.argsort(x, kind="stable")
     labels = np.empty(x.size, dtype=np.intp)
     labels[order] = partitions(x[order], k, k)[0]
-    return from_partition(x, labels)
-
-
-def from_partition(x: np.ndarray, labels: np.ndarray) -> ClusterResult:
-    """The k-means result of a partition of ``x``: ``from_labels``' mean
-    centroids and the inertia around them."""
     result = from_labels(x, labels)
     inertia = float(np.square(x - result.centroids[labels]).sum())
     return replace(result, inertia=inertia, inertia_history=(inertia,))

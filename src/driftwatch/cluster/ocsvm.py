@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..validation import as_values, check_positive, check_unit_fraction
+from ..validation import as_values, check_positive
 
 __all__ = ["OcsvmModel", "ocsvm_train", "ocsvm_predict"]
 
@@ -39,7 +39,9 @@ class OcsvmModel:
 def ocsvm_train(data, nu: float = 0.1, gamma: float = 1.0, *, tol: float = 1e-4,
                 max_iter: int | None = None) -> OcsvmModel:
     x = as_values(data, name="data", min_len=2)
-    nu = check_unit_fraction(nu, "nu")
+    nu = float(nu)
+    if not 0 < nu <= 1:
+        raise ValueError(f"nu must be in (0, 1], got {nu}")
     gamma = check_positive(gamma, "gamma", finite=True)
     n = x.size
     cap = 1.0 / (nu * n)

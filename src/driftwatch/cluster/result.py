@@ -33,9 +33,9 @@ def from_labels(data: np.ndarray, labels: np.ndarray, **extra) -> ClusterResult:
     n_clusters = int(assigned.max()) + 1 if assigned.size else 0
     if assigned.size and not np.array_equal(np.unique(assigned), np.arange(n_clusters)):
         raise ValueError("cluster labels must form a compact range")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         centroids = np.array([data[labels == j].mean() for j in range(n_clusters)])
-    for j in np.flatnonzero(np.isinf(centroids)):  # the sum rounded to infinity: sum v / n
+    for j in np.flatnonzero(~np.isfinite(centroids)):  # the sum overflowed: sum v / n
         v = data[labels == j]
         centroids[j] = (v / v.size).sum()
     return ClusterResult(labels=labels, n_clusters=n_clusters, centroids=centroids, **extra)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..validation import as_values, check_count
-from .kmeans import from_partition, partitions
-from .result import ClusterResult
+from .kmeans import partitions
+from .result import from_labels
 
 __all__ = ["silhouette", "best_k_silhouette"]
 
@@ -106,15 +106,18 @@ def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) ->
     short-circuits to the number of distinct values (at least 1).  ``seed``
     is unused: the search draws no random numbers.
     """
-    return _search(as_values(data, name="data"), k_min, k_max)[0]
-
-
-def best_k_fit(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> tuple[int, ClusterResult]:
-    """``best_k_silhouette`` and the fit ``kmeans(data, k)`` of the chosen k,
-    taken from the search instead of fitted again.  ``seed`` is unused."""
     x = as_values(data, name="data")
+    k_min = check_count(k_min, "k_min", minimum=2)
+    k_max = check_count(k_max, "k_max", minimum=2)
+    return _search(x, k_min, k_max)[0]
+
+
+def best_k_fit(x: np.ndarray, k_min: int, k_max: int) -> tuple[int, np.ndarray]:
+    """``best_k_silhouette`` of the checked values ``x`` and the centroids of
+    ``kmeans(x, k)`` for the chosen k, taken from the search instead of
+    fitted again."""
     k, labels = _search(x, k_min, k_max)
-    return k, from_partition(x, labels)
+    return k, from_labels(x, labels).centroids
 
 
 def _search(x: np.ndarray, k_min: int, k_max: int):
@@ -123,8 +126,6 @@ def _search(x: np.ndarray, k_min: int, k_max: int):
     One run of ``partitions`` gives every candidate's partition, and all of
     them are scored from one sort of the data.
     """
-    check_count(k_min, "k_min", minimum=2)
-    check_count(k_max, "k_max", minimum=2)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))

@@ -32,7 +32,6 @@ import numpy as np
 from .cluster import (
     affinity_propagation,
     agglomerative,
-    greedy_max,
     ocsvm_predict,
     ocsvm_train,
     optics,
@@ -263,8 +262,8 @@ def _gap_rule(centres, memory) -> Rule:
     centroids)`` takes them from the k-means fit of the silhouette search's k."""
 
     def max_gap(det, x):
-        k, fit = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)))
-        ordered = np.sort(centres(x, k, fit.centroids))
+        k, centroids = best_k_fit(x, 2, max(2, min(det.k_max, x.size - 1)))
+        ordered = np.sort(centres(x, k, centroids))
         return k, (float(np.diff(ordered).max()) if ordered.size >= 2 else 0.0)
 
     def fit(det, x):
@@ -350,7 +349,7 @@ RULES: dict[ModelType, Rule] = {
     ModelType.KMEANS: _gap_rule(lambda x, k, centroids: centroids, memory=(61, 1)),
     ModelType.GMM: _gap_rule(lambda x, k, centroids: gmm_em(x, k, centroids).means, memory=(61, 1)),
     ModelType.ONE_CLASS_SVM: Rule(_ocsvm_fit, _ocsvm_test, _excess, memory=(2, 2)),
-    ModelType.GREEDY: Rule(lambda det, x: {"monitoring_max": greedy_max(x)}, _greedy_test,
+    ModelType.GREEDY: Rule(lambda det, x: {"monitoring_max": float(x.max())}, _greedy_test,
                            _ratio, memory=(8, 0), min_train=1),
 }
 

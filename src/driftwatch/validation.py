@@ -55,14 +55,6 @@ def check_count(value: int, name: str, *, minimum: int = 1) -> int:
     return count
 
 
-def check_unit_fraction(value: float, name: str) -> float:
-    """Validate a fraction in (0, 1]."""
-    value = float(value)
-    if not 0 < value <= 1:
-        raise ValueError(f"{name} must be in (0, 1], got {value}")
-    return value
-
-
 def to_doc(value: Any) -> Any:
     """A value as JSON holds it: a dataclass as an object of its compared
     fields in declaration order, a mapping by item, a tuple or list as a

@@ -40,7 +40,7 @@ def _preset_sweep(models):
     for preset_name, factory in PRESETS.items():
         spec = factory()
         for seed in range(SEEDS_PER_PRESET):
-            by_model, _, truth = _run_scenario(spec.with_seed(seed), detectors, protocol)
+            by_model, _, truth = _run_scenario(spec.with_seed(seed), detectors, protocol, 0)
             for model, records in by_model.items():
                 out[(preset_name, model)].append(
                     {

@@ -150,8 +150,11 @@ class TestDbscanCount:
     @pytest.mark.parametrize("eps", [1.0, 1e308, np.inf])
     def test_distances_that_overflow(self, eps):
         # 1e308 - -1e308 rounds to inf: within eps = inf only.  Neither dbscan
-        # nor the count warns of the overflow; the reference does.
-        for data in ([-1e308, 1e308], [-1e308, -1e308, 0.0, 1e308, 1e308]):
+        # nor the count warns of the overflow; the reference does.  Under eps = inf
+        # the last input is one cluster whose sum overflows to inf, then NaN;
+        # its mean is -1e304.
+        for data in ([-1e308, 1e308], [-1e308, -1e308, 0.0, 1e308, 1e308],
+                     [1e308, 5.0, 3.33e307, 1e308, 3.33e307, 3.33e307, -1e308, -1e308, 0.0, -1e308]):
             for min_pts in (1, 2, 3, 6):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftwatch.cluster import gmm_assign, gmm_fit, gmm_responsibilities
+from driftwatch.cluster import gmm_assign, gmm_fit, gmm_responsibilities, kmeans
 from driftwatch.cluster.gmm import gmm_em
 from driftwatch.cluster.silhouette import best_k_fit
 
@@ -14,8 +14,9 @@ class TestGmmFit:
         rng = np.random.default_rng(5)
         for seed in range(8):
             data = np.round(mixture_data(rng, int(rng.integers(6, 90))), int(rng.integers(0, 3)))
-            k, fit = best_k_fit(data, 2, 8, seed=seed)
-            mine, ref = gmm_em(data, k, fit.centroids), gmm_fit(data, k, seed=seed)
+            k, centroids = best_k_fit(data, 2, 8)
+            assert np.array_equal(centroids, kmeans(data, k).centroids)
+            mine, ref = gmm_em(data, k, centroids), gmm_fit(data, k, seed=seed)
             for field in ("weights", "means", "variances"):
                 assert np.array_equal(getattr(mine, field), getattr(ref, field))
             assert mine.log_likelihood == ref.log_likelihood

@@ -1,20 +1,24 @@
 import pytest
 
-from driftwatch.cluster import greedy_max
+from driftwatch.detectors import DriftDetector
 from driftwatch.scenario import PhaseKind, PhaseSpec, ScenarioSpec, generate
 
 
+def monitoring_max(values) -> float:
+    return DriftDetector("greedy").fit(values).state_.monitoring_max
+
+
 def test_maximum():
-    assert greedy_max([1, 5, 3]) == 5.0
+    assert monitoring_max([1, 5, 3]) == 5.0
 
 
 def test_single_value():
-    assert greedy_max([7]) == 7.0
+    assert monitoring_max([7]) == 7.0
 
 
 def test_empty_errors():
     with pytest.raises(ValueError):
-        greedy_max([])
+        monitoring_max([])
 
 
 def test_constant_scenario_max():
@@ -22,4 +26,4 @@ def test_constant_scenario_max():
         "flat", (PhaseSpec(PhaseKind.NORMAL, 20, 100, noise_std=0),), seed=0
     )
     series, _ = generate(spec)
-    assert greedy_max(series.values()) == 100.0
+    assert monitoring_max(series.values()) == 100.0

@@ -186,6 +186,7 @@ class TestBestK:
         rng = np.random.default_rng(1)
         data = np.concatenate([rng.normal(0, 1, 15), rng.normal(50, 1, 15)])
         assert best_k_silhouette(data, 2, 6, seed=0) == 2
+        assert best_k_silhouette(data, 2.0, 6.0) == 2  # counts the count check accepts
 
     def test_three_blobs(self):
         rng = np.random.default_rng(2)
@@ -258,10 +259,9 @@ class TestBatchedLloyd:
                 assert res.inertia_history == (res.inertia,)
 
     def test_search_fit_is_the_kmeans_fit_of_the_chosen_k(self):
-        for i, (_, data) in enumerate(families(18, 6)):
-            k, fit = best_k_fit(data, 2, 8, seed=i)
-            assert k == best_k_silhouette(data, 2, 8, seed=i)
-            res = kmeans(data, k, seed=i)
-            assert np.array_equal(fit.labels, res.labels)
-            assert np.array_equal(fit.centroids, res.centroids)
-            assert fit.inertia_history == res.inertia_history
+        # 18, 90 and 500 points: the drift batch, bench training and capture sizes
+        for n, count in ((18, 6), (90, 2), (500, 1)):
+            for name, data in families(n, count):
+                k, centroids = best_k_fit(data, 2, 8)
+                assert k == best_k_silhouette(data, 2, 8), (n, name)
+                assert np.array_equal(centroids, kmeans(data, k).centroids), (n, name)

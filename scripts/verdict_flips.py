@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the verdicts that differ between two checkouts, model by model.
+"""Count the verdicts and scores that differ between two checkouts, model by model.
 
 Each checkout runs the bench protocol on both presets for seeds 0-14 (the
 runs of ``driftwatch bench --presets all --reps 15 --seed 0``) in its own
@@ -9,10 +9,12 @@ tracing:
 
     python3 scripts/verdict_flips.py --parent PARENT_TREE --change CHANGE_TREE
 
-Per model it prints the number of flipped verdicts, and the paired per-run
+Per model it prints the number of flipped verdicts, the paired per-run
 difference (change minus parent) of accuracy and of false-positive rate:
 the mean over the runs, and wins/losses/ties, where a win is a run the
-change scores better on (higher accuracy, lower FPR).
+change scores better on (higher accuracy, lower FPR), and the number of
+records whose verdict score differs bit for bit.  A score can move without
+a flip: the gap rules' scores depend on the silhouette search's k.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def scenario_records(preset: str, seed: int, names) -> dict:
 
 
 def collect(models: str, seeds: int) -> dict:
-    """{run: {model: {"drift": [...], "accuracy": a, "fpr": f}}} from the
-    driftwatch on this interpreter's path, one run per preset and seed."""
+    """{run: {model: {"drift": [...], "score": [...], "accuracy": a, "fpr": f}}}
+    from the driftwatch on this interpreter's path, one run per preset and seed."""
     from driftwatch.bench import accuracy, false_positive_rate
     from driftwatch.detectors import MODEL_NAMES
     from driftwatch.scenario import PRESETS
@@ -63,6 +65,7 @@ def collect(models: str, seeds: int) -> dict:
     return {
         f"{preset}/{seed}": {
             name: {"drift": [r.verdict.drift for r in mine],
+                   "score": [r.verdict.score for r in mine],
                    "accuracy": accuracy(mine), "fpr": false_positive_rate(mine)}
             for name, mine in scenario_records(preset, seed, names).items()
         }
@@ -91,7 +94,8 @@ def verdicts(trees: list[Path], models: str, seeds: int) -> list[dict]:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Per model: flipped verdicts and the paired accuracy / FPR differences."""
+    """Per model: flipped verdicts, records whose score differs bit for bit,
+    and the paired accuracy / FPR differences."""
     if parent.keys() != change.keys():
         raise SystemExit("error: the two trees ran different scenarios")
     out = {}
@@ -100,8 +104,10 @@ def compare(parent: dict, change: dict) -> dict:
             after = change[run][name]
             if len(after["drift"]) != len(before["drift"]):
                 raise SystemExit(f"error: {name} on {run} judged a different number of batches")
-            stats = out.setdefault(name, {"flips": 0, "records": 0, "accuracy": [], "fpr": []})
+            stats = out.setdefault(name, {"flips": 0, "scores": 0, "records": 0, "accuracy": [], "fpr": []})
             stats["flips"] += sum(a != b for a, b in zip(before["drift"], after["drift"]))
+            stats["scores"] += sum(float(a).hex() != float(b).hex()
+                                   for a, b in zip(before["score"], after["score"]))
             stats["records"] += len(before["drift"])
             stats["accuracy"].append(after["accuracy"] - before["accuracy"])
             stats["fpr"].append(after["fpr"] - before["fpr"])
@@ -118,11 +124,13 @@ def compare(parent: dict, change: dict) -> dict:
 
 
 def render(table: dict) -> str:
-    lines = [f"{'model':<14}{'flips':>12}  {'accuracy diff (w/l/t)':>26}  {'fpr diff (w/l/t)':>26}"]
+    lines = [f"{'model':<14}{'flips':>12}  {'accuracy diff (w/l/t)':>26}  {'fpr diff (w/l/t)':>26}"
+             f"  {'scores changed':>14}"]
     for name, s in table.items():
         cells = [f"{s[m]['mean']:+.4f} ({s[m]['wins']}/{s[m]['losses']}/{s[m]['ties']})"
                  for m in ("accuracy", "fpr")]
-        lines.append(f"{name:<14}{s['flips']:>6}/{s['records']:<5}  {cells[0]:>26}  {cells[1]:>26}")
+        lines.append(f"{name:<14}{s['flips']:>6}/{s['records']:<5}  {cells[0]:>26}  {cells[1]:>26}"
+                     f"  {s['scores']:>8}/{s['records']}")
     return "\n".join(lines)
 
 

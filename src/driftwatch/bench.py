@@ -376,7 +376,6 @@ def compare_models(
     times: dict[str, list[float]] = {m: [] for m in dets}
     peaks: dict[str, int] = {m: 0 for m in dets}
     basis = f"measured: {MEMORY_SUBSET}"
-    timelines: dict[str, list[tuple]] = {}
 
     for s_index, (scenario_name, spec) in enumerate(scenarios.items()):
         for rep in range(repetitions):
@@ -384,12 +383,12 @@ def compare_models(
             by_model, series, truth = _run_scenario(
                 seeded, dets, protocol, traced_records=1 if rep == 0 else 0
             )
+            if s_index == 0 and rep == 0:
+                timelines = _timelines(series, truth, by_model)
             for name, records in by_model.items():
                 runs[name].append(score_run(records, truth))
                 times[name].extend(r.compute_time for r in records)
                 peaks[name] = max(peaks[name], max(r.allocated_bytes for r in records))
-                if s_index == 0 and rep == 0:
-                    timelines[name] = _timeline_rows(series, truth, records)
 
     def average(name: str, metric: str, empty: float = 0.0) -> float:
         return _mean([run[metric] for run in runs[name] if metric in run], empty)
@@ -449,25 +448,31 @@ def _jsonable_params(det: DriftDetector) -> dict[str, Any]:
     return to_doc(det.get_params())
 
 
-def _timeline_rows(
-    series: Series, truth: GroundTruth, records: Sequence[RunRecord]
-) -> list[tuple]:
-    """One (t, value, truth, verdict) row per generated sample; verdict is
-    empty for samples outside any evaluated batch.
+def _timelines(
+    series: Series, truth: GroundTruth, by_model: Mapping[str, Sequence[RunRecord]]
+) -> dict[str, list[tuple]]:
+    """Per model, one (t, value, truth, verdict) row per generated sample;
+    verdict is empty for samples outside any evaluated batch.
 
-    Records come in batch order with a fixed batch length, so span starts and
-    ends are both sorted: the first span holding t is the first whose end
-    lies past t, provided its start is not past t.
+    The (t, value, truth) columns are the same for every model.  Records come
+    in batch order with a fixed batch length, so span starts and ends are
+    both sorted: the first span holding t is the first whose end lies past t,
+    provided its start is not past t.
     """
     times = series.times()
-    first = np.searchsorted([r.batch_end_t for r in records], times, "right")
-    inside = first < np.searchsorted([r.batch_start_t for r in records], times, "right")
-    return [
-        (t, value, int(truth.is_degraded_at(t)), int(records[j].verdict.drift) if hit else None)
-        for t, value, j, hit in zip(
-            times.tolist(), series.values().tolist(), first.tolist(), inside.tolist()
-        )
+    samples = [
+        (t, value, int(truth.is_degraded_at(t)))
+        for t, value in zip(times.tolist(), series.values().tolist())
     ]
+    timelines = {}
+    for name, records in by_model.items():
+        first = np.searchsorted([r.batch_end_t for r in records], times, "right")
+        inside = first < np.searchsorted([r.batch_start_t for r in records], times, "right")
+        timelines[name] = [
+            (t, value, degraded, int(records[j].verdict.drift) if hit else None)
+            for (t, value, degraded), j, hit in zip(samples, first.tolist(), inside.tolist())
+        ]
+    return timelines
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..validation import as_values, check_count
+from ..validation import as_values, check_count, check_positive
 from .kmeans import kmeans
 from .result import ClusterResult
 
@@ -42,6 +42,8 @@ def gmm_fit(data, n_components: int, *, max_iter: int = 200, tol: float = 1e-7, 
     m = check_count(n_components, "n_components", minimum=1)
     if m > x.size:
         raise ValueError(f"n_components={m} exceeds the {x.size} data points")
+    max_iter = check_count(max_iter, "max_iter", minimum=1)
+    tol = check_positive(tol, "tol", finite=True, zero=True)
     return gmm_em(x, m, kmeans(x, m).centroids, max_iter=max_iter, tol=tol)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..validation import as_values, check_positive
+from ..validation import as_values, check_count, check_positive
 
 __all__ = ["OcsvmModel", "ocsvm_train", "ocsvm_predict"]
 
@@ -45,28 +45,41 @@ def ocsvm_train(data, nu: float = 0.1, gamma: float = 1.0, *, tol: float = 1e-4,
     gamma = check_positive(gamma, "gamma", finite=True)
     n = x.size
     cap = 1.0 / (nu * n)
-    if max_iter is None:
-        max_iter = max(2000, 200 * n)
+    max_iter = check_count(max(2000, 200 * n) if max_iter is None else max_iter, "max_iter", minimum=1)
+    tol = check_positive(tol, "tol", finite=True, zero=True)
 
     Q = np.exp(-gamma * (x[:, None] - x[None, :]) ** 2)
     alpha = np.full(n, 1.0 / n)
     grad = Q @ alpha
     bound_tol = cap * 1e-12
-
+    top = cap - bound_tol
+    # up / dn: grad where alpha can rise / fall and +inf / -inf elsewhere, so
+    # the pair is up.argmin() / dn.argmax() and an empty side ends the loop
+    # with an infinite gap.  Each step adds the same delta to all three and
+    # re-masks only the pair.
+    up = np.where(alpha < top, grad, np.inf)
+    dn = np.where(alpha > bound_tol, grad, -np.inf)
+    rows, a = list(Q), alpha.tolist()
+    delta = np.empty(n)
     for _ in range(max_iter):
-        can_up = alpha < cap - bound_tol
-        can_dn = alpha > bound_tol
-        if not can_up.any() or not can_dn.any():
+        i, j = int(up.argmin()), int(dn.argmax())
+        gap = dn.item(j) - up.item(i)
+        if gap <= tol:
             break
-        i = int(np.where(can_up, grad, np.inf).argmin())
-        j = int(np.where(can_dn, grad, -np.inf).argmax())
-        if grad[j] - grad[i] <= tol:
-            break
-        curv = max(Q[i, i] + Q[j, j] - 2.0 * Q[i, j], 1e-12)
-        step = min((grad[j] - grad[i]) / curv, cap - alpha[i], alpha[j])
-        alpha[i] += step
-        alpha[j] -= step
-        grad += step * (Q[i] - Q[j])  # rows: Q is exactly symmetric
+        curv = max(Q.item(i, i) + Q.item(j, j) - 2.0 * Q.item(i, j), 1e-12)
+        step = min(gap / curv, cap - a[i], a[j])
+        a[i] += step
+        a[j] -= step
+        np.subtract(rows[i], rows[j], out=delta)  # rows: Q is exactly symmetric
+        delta *= step
+        grad += delta
+        up += delta
+        dn += delta
+        for k in (i, j):
+            g = grad.item(k)
+            up[k] = g if a[k] < top else np.inf
+            dn[k] = g if a[k] > bound_tol else -np.inf
+    alpha = np.array(a)
 
     margin_tol = cap * 1e-7
     free = (alpha > margin_tol) & (alpha < cap - margin_tol)

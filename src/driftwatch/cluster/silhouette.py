@@ -10,6 +10,13 @@ from .result import from_labels
 
 __all__ = ["silhouette", "best_k_silhouette"]
 
+#: (labeling, cluster, point) cells scored in one stacked pass.  The seven
+#: candidates of an 18-point batch take 7 x 8 x 19 = 1,064 cells, so they are
+#: scored in one pass.  From 90 points up a pass holds at most 12 cluster rows,
+#: against 8 for the k = 8 candidate alone, so the scoring's memory stays
+#: linear in n and near that of one candidate at a time.
+CELLS = 1152
+
 
 def silhouette(data, labels) -> float:
     """Mean silhouette score in [-1, 1].
@@ -28,12 +35,33 @@ def silhouette(data, labels) -> float:
     if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     order = np.argsort(x, kind="stable")
-    return float(_silhouettes(x[order], order, inverse[order][None, :])[0])
+    return float(_stacked(x[order], order, inverse[order][None, :], sizes.size)[0])
 
 
 def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np.ndarray:
     """Silhouette of each row of ``labelings``, a compact labeling of the
     sorted values ``xs = x[order]`` into at least 2 clusters.
+
+    The labelings are scored in chunks of consecutive rows: each chunk has
+    at most ``CELLS`` (labeling, cluster, point) cells, or is one labeling
+    that alone has more.
+    """
+    n = xs.size
+    chunks = []  # (first row, end row, clusters per labeling)
+    for row, k in enumerate((labelings.max(axis=1) + 1).tolist()):
+        if chunks and (row + 1 - chunks[-1][0]) * max(k, chunks[-1][2]) * (n + 1) <= CELLS:
+            chunks[-1] = (chunks[-1][0], row + 1, max(k, chunks[-1][2]))
+        else:
+            chunks.append((row, row + 1, k))
+    return np.concatenate([_stacked(xs, order, labelings[lo:hi], k) for lo, hi, k in chunks])
+
+
+def _stacked(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray, k: int) -> np.ndarray:
+    """Silhouettes of the rows of ``labelings``, with labels below k, scored
+    together: every step runs once on (labeling, cluster, point) arrays,
+    flattened to one cluster row of cells per (labeling, cluster), with the
+    same per-element operations and per-row sums as scoring one labeling at
+    a time.
 
     For any y, the sum of |y - v| over a cluster's sorted members v is
     y*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < y) and pre the
@@ -43,60 +71,61 @@ def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np
     running sum over its member mask, and below for the point at position p
     is the number of members ahead of the first position whose shifted value
     equals p's: the shift is monotone, so that is #(v < y) exactly as a binary
-    search over the members counts it.
+    search over the members counts it.  A labeling with fewer than k clusters
+    leaves rows with no members; they get +inf before the nearest other
+    cluster is taken.
     """
     n = xs.size
+    rows = k * len(labelings)
     pos = np.arange(n)
-    scores = np.empty(len(labelings))
-    unsorted = np.empty(n)
-    after = pos + 1
-    cells = pos + (n + 1) * np.arange(int(labelings.max()) + 1)[:, None]  # (cluster, point) in pre
-    # The dels below keep at most four (k, n) arrays alive at once: this loop
-    # and the k-means program set the search's peak memory.
-    for i, own in enumerate(labelings):
-        size = np.bincount(own)
-        k = size.size
-        grouped = own.argsort(kind="stable")  # members cluster by cluster, ascending
-        starts = size.cumsum() - size
-        y = np.subtract(xs, xs[grouped[starts + size // 2]][:, None])
-        pre = np.zeros((k, n + 1))
-        pre[own, after] = y[own, pos]
-        pre.cumsum(axis=1, out=pre)
-        # first: the cell of the first position in each row whose shifted
-        # value equals this one's, so the members ahead of it are exactly
-        # those below it.
-        runs = np.empty((k, n), dtype=bool)
-        np.not_equal(y.ravel()[1:], y.ravel()[:-1], out=runs.ravel()[1:])
-        runs[:, 0] = True
-        first = np.where(runs, cells[:k], 0)
-        del runs
-        np.maximum.accumulate(first, axis=1, out=first)
-        twice_pre = pre.take(first)
-        twice_pre *= 2  # 2 * pre[below]
-        total = pre[:, n:].copy()  # pre[m]
-        del pre
-        # below: how many member cells (sorted, as the keys) lie ahead of first
-        below = cells[own[grouped], grouped].searchsorted(first)
-        del first
-        below *= 2
-        below -= (2 * starts + size)[:, None]  # 2 * below - m
-        y *= below
-        del below
-        y -= twice_pre
-        y += total  # y now holds the distance sums
-        del twice_pre
-        mine = size[own]
-        a = y[own, pos] / np.maximum(mine - 1, 1)
-        y /= size[:, None]
-        y[own, pos] = np.inf
-        b = y.min(axis=0)
-        del y
-        denom = np.maximum(a, b)
-        b -= a
-        score = np.divide(b, denom, out=np.zeros(n), where=(mine > 1) & (denom > 0))
-        unsorted[order] = score  # sum in the callers' point order, as a per-point loop would
-        scores[i] = unsorted.sum() / n
-    return scores
+    # The dels below keep at most four (rows, n) arrays alive at once: this
+    # scoring and the k-means program set the search's peak memory.
+    own = labelings + k * np.arange(len(labelings))[:, None]  # each point's cluster row
+    # keys: the members' cells (cluster row, point) in pre, cluster row by cluster row
+    keys = np.sort(own * (n + 1) + pos, axis=None, kind="stable")
+    size = np.bincount(own.ravel(), minlength=rows)
+    starts = size.cumsum() - size
+    # shift each row by its median member (a row with no members, by the last member)
+    y = np.subtract(xs, xs[keys.take(starts + size // 2, mode="clip") % (n + 1)][:, None])
+    pre = np.zeros((rows, n + 1))
+    pre[:, 1:][own, pos] = y[own, pos]
+    pre.cumsum(axis=1, out=pre)
+    # first: the cell of the first position in each row whose shifted value
+    # equals this one's, so the members ahead of it are exactly those below it.
+    runs = np.empty(y.shape, dtype=bool)
+    np.not_equal(y.ravel()[1:], y.ravel()[:-1], out=runs.ravel()[1:])
+    runs[:, 0] = True
+    first = np.where(runs, pos, 0)
+    del runs
+    np.maximum.accumulate(first, axis=1, out=first)
+    first += (n + 1) * np.arange(rows)[:, None]
+    twice_pre = pre.take(first)
+    twice_pre *= 2  # 2 * pre[below]
+    total = pre[:, n:].copy()  # pre[m]
+    del pre
+    # below: how many member cells (sorted, as the keys) lie ahead of first
+    below = keys.searchsorted(first)
+    del first
+    below *= 2
+    below -= (2 * starts + size)[:, None]  # 2 * below - m
+    y *= below
+    del below
+    y -= twice_pre
+    y += total  # y now holds the distance sums
+    del twice_pre
+    mine = size[own]
+    a = y[own, pos] / np.maximum(mine - 1, 1)
+    y /= np.maximum(size, 1)[:, None]
+    y[size == 0] = np.inf
+    y[own, pos] = np.inf
+    b = y.reshape(len(labelings), k, n).min(axis=1)
+    del y
+    denom = np.maximum(a, b)
+    b -= a
+    score = np.divide(b, denom, out=np.zeros(b.shape), where=(mine > 1) & (denom > 0))
+    unsorted = np.empty_like(score)
+    unsorted[:, order] = score  # sum in the callers' point order, as a per-point loop would
+    return unsorted.sum(axis=1) / n
 
 
 def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> int:

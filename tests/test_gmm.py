@@ -69,6 +69,14 @@ class TestGmmFit:
         with pytest.raises(ValueError):
             gmm_fit([1, 2, 3], 0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("max_iter", 2.5), ("max_iter", -3), ("max_iter", 0), ("max_iter", True),
+        ("tol", float("nan")), ("tol", -1e-7), ("tol", float("inf")),
+    ])
+    def test_solver_knob_errors_name_the_knob(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            gmm_fit([1.0, 2.0, 4.0, 9.0], 2, **{knob: value})
+
 
 class TestResponsibilities:
     def test_rows_sum_to_one(self):

@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from driftwatch.cluster import best_k_silhouette, kmeans, silhouette
 from driftwatch.cluster.kmeans import partitions
-from driftwatch.cluster.silhouette import best_k_fit
+from driftwatch.cluster.silhouette import _silhouettes, best_k_fit
 
 from oracles import (
     best_two_partition,
@@ -179,6 +181,71 @@ class TestSilhouetteSearch:
         for seed in range(trials):
             data = mixture_data(rng, n) + shift
             assert best_k_silhouette(data, 2, 8, seed=seed) == self.reference_best_k(data)
+
+
+class TestStackedScoring:
+    """The search scores its candidates in chunks of at most ``CELLS``
+    (candidate, cluster, point) cells; how they are chunked changes no bit."""
+
+    module = importlib.import_module("driftwatch.cluster.silhouette")
+
+    def chunks(self, monkeypatch, xs, order, labelings, cells=None):
+        """Scores of ``_silhouettes`` and the (candidates, clusters) of each chunk."""
+        if cells is not None:
+            monkeypatch.setattr(self.module, "CELLS", cells)
+        seen, stacked = [], self.module._stacked
+
+        def spy(xs, order, labelings, k):
+            seen.append((len(labelings), k))
+            return stacked(xs, order, labelings, k)
+
+        monkeypatch.setattr(self.module, "_stacked", spy)
+        scores = _silhouettes(xs, order, labelings)
+        monkeypatch.setattr(self.module, "_stacked", stacked)
+        return scores, seen
+
+    @pytest.mark.parametrize("n", [18, 40, 90, 200])
+    def test_any_chunking_gives_the_per_candidate_scores(self, monkeypatch, n):
+        for name, data in families(n, 3):
+            order = np.argsort(data, kind="stable")
+            xs = data[order]
+            hi = min(8, n - 1, np.unique(xs).size)
+            if hi < 3:
+                continue
+            candidates = partitions(xs, 2, hi)
+            default, _ = self.chunks(monkeypatch, xs, order, candidates)
+            one, seen = self.chunks(monkeypatch, xs, order, candidates, cells=1)
+            assert seen == [(1, k) for k in range(2, hi + 1)]
+            assert one.tobytes() == default.tobytes(), (n, name)
+            uneven, seen = self.chunks(monkeypatch, xs, order, candidates, cells=12 * (n + 1))
+            if hi == 8:  # 12 cluster rows a chunk: k = 2-4, 5-6, 7, 8
+                assert seen == [(3, 4), (2, 6), (1, 7), (1, 8)]
+            assert uneven.tobytes() == default.tobytes(), (n, name)
+
+    def test_an_18_point_batch_is_scored_in_one_pass(self, monkeypatch):
+        data = mixture_data(np.random.default_rng(18), 18)
+        order = np.argsort(data, kind="stable")
+        candidates = partitions(data[order], 2, 8)
+        _, seen = self.chunks(monkeypatch, data[order], order, candidates)
+        assert seen == [(7, 8)]
+
+    def test_one_labeling_scores_alike_alone_and_stacked(self, monkeypatch):
+        # silhouette() scores one labeling, in any order and of any k; stacked
+        # among candidates of other k it must score the same bit for bit
+        rng = np.random.default_rng(11)
+        for n in (5, 18, 60):
+            data = rng.choice(rng.uniform(0, 100, n // 2), n)  # duplicates
+            labels = np.unique(rng.integers(0, 3, n), return_inverse=True)[1]
+            if labels.max() == 0:
+                continue
+            order = np.argsort(data, kind="stable")
+            xs = data[order]
+            hi = min(8, n - 1, np.unique(xs).size)
+            stack = np.vstack([partitions(xs, 2, hi), labels[order]])
+            scores, seen = self.chunks(monkeypatch, xs, order, stack, cells=10**6)
+            assert len(seen) == 1
+            assert scores[-1] == silhouette(data, labels)
+            assert scores[-1] == pytest.approx(silhouette_reference(data, labels), abs=1e-9)
 
 
 class TestBestK:

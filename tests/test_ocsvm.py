@@ -57,6 +57,14 @@ class TestDualSolution:
         with pytest.raises(ValueError):
             ocsvm_train([1.0, 2.0], nu=0.1, gamma=0.0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("max_iter", 2.5), ("max_iter", -3), ("max_iter", 0), ("max_iter", True),
+        ("tol", float("nan")), ("tol", -1e-4), ("tol", float("inf")),
+    ])
+    def test_solver_knob_errors_name_the_knob(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ocsvm_train([1.0, 2.0, 4.0], nu=0.5, gamma=1.0, **{knob: value})
+
 
 class TestLoopOracle:
     def test_matches_index_list_reference(self):

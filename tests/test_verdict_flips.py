@@ -10,18 +10,21 @@ verdict_flips = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(verdict_flips)
 
 
-def run(drift, truth):
+def run(drift, truth, score=None):
     hits = sum(d == t for d, t in zip(drift, truth))
     negatives = [d for d, t in zip(drift, truth) if not t]
-    return {"drift": drift, "accuracy": hits / len(drift),
+    score = [1.0 if d else -1.0 for d in drift] if score is None else score
+    return {"drift": drift, "score": score, "accuracy": hits / len(drift),
             "fpr": sum(negatives) / len(negatives) if negatives else 0.0}
 
 
 def test_same_tree_has_no_flips(capsys):
     assert verdict_flips.main(["--parent", str(ROOT), "--change", str(ROOT),
                                "--models", "greedy", "--seeds", "1"]) == 0
-    model, flips, accuracy, record = capsys.readouterr().out.splitlines()[1].split()[:4]
+    row = capsys.readouterr().out.splitlines()[1].split()
+    model, flips, accuracy, record = row[:4]
     assert model == "greedy" and flips.startswith("0/")
+    assert row[-1] == "0/" + flips.split("/")[1]  # no score changed either
     assert (accuracy, record) == ("+0.0000", "(0/0/2)")  # one seed on each of the two presets
 
 
@@ -32,7 +35,7 @@ def test_a_synthetic_flip_is_counted():
     change = {"qos/0": {"kmeans": run([False, False, True, True], truth)},
               "qos/1": {"kmeans": run([False, False, True, True], truth)}}
     stats = verdict_flips.compare(parent, change)["kmeans"]
-    assert stats["flips"] == 1 and stats["records"] == 8
+    assert stats["flips"] == 1 and stats["records"] == 8 and stats["scores"] == 1
     assert stats["accuracy"] == {"mean": pytest.approx(0.125), "wins": 1, "losses": 0, "ties": 1}
     assert stats["fpr"] == {"mean": pytest.approx(-0.25), "wins": 1, "losses": 0, "ties": 1}
     # the same runs compared the other way round lose where they won
@@ -53,3 +56,16 @@ def test_collected_records_are_run_scenarios_without_allocation_tracing():
         assert [(r.batch_index, r.verdict) for r in records] == [(r.batch_index, r.verdict) for r in expected]
         assert all(r.allocated_bytes == 0 for r in records)
         assert any(r.allocated_bytes > 0 for r in expected)  # run_scenario does trace them
+
+
+def test_a_score_change_without_a_flip_is_counted():
+    truth = [False, True]
+    parent = {"qos/0": {"gmm": run([False, True], truth, [-0.5, 0.25]),
+                        "greedy": run([False, True], truth, [-0.0, 1.0])}}
+    change = {"qos/0": {"gmm": run([False, True], truth, [-0.5, 0.25 + 2 ** -54]),
+                        "greedy": run([False, True], truth, [0.0, 1.0])}}
+    table = verdict_flips.compare(parent, change)
+    assert (table["gmm"]["flips"], table["gmm"]["scores"]) == (0, 1)  # one ulp apart
+    assert (table["greedy"]["flips"], table["greedy"]["scores"]) == (0, 1)  # -0.0 is not 0.0, bit for bit
+    assert table["gmm"]["accuracy"]["ties"] == 1
+    assert verdict_flips.render(table).splitlines()[1].split()[-1] == "1/2"

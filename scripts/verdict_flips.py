@@ -5,7 +5,10 @@ Each checkout runs the bench protocol on both presets for seeds 0-14 (the
 runs of ``driftwatch bench --presets all --reps 15 --seed 0``) in its own
 interpreter, with ``PYTHONPATH=<tree>/src``; the two run side by side.
 Only verdicts are compared, so no record is replayed under allocation
-tracing:
+tracing.  Each checkout also makes capture-shaped runs for the same seeds:
+a fit on a 500-point training capture and four 18-point drift batches,
+the shape of ``detect`` on a long capture, whose n = 500 silhouette search
+the bench protocol's fits on 90 points never reach:
 
     python3 scripts/verdict_flips.py --parent PARENT_TREE --change CHANGE_TREE
 
@@ -14,17 +17,26 @@ difference (change minus parent) of accuracy and of false-positive rate:
 the mean over the runs, and wins/losses/ties, where a win is a run the
 change scores better on (higher accuracy, lower FPR), and the number of
 records whose verdict score differs bit for bit.  A score can move without
-a flip: the gap rules' scores depend on the silhouette search's k.
+a flip: the gap rules' scores depend on the silhouette search's k.  The
+capture-shaped runs get a second table of the same columns; their batches
+all lie in the drift phase, so a drift verdict is correct.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+#: Drift batches judged per capture-shaped run; the rest of the shape comes
+#: from perfbench/workloads.py, beside this script.
+CAPTURE_BATCHES = 4
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -54,15 +66,51 @@ def scenario_records(preset: str, seed: int, names) -> dict:
                          BenchProtocol(), traced_records=0)[0]
 
 
+@functools.cache
+def workloads():
+    """perfbench/workloads.py, loaded against the driftwatch on this
+    interpreter's path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def capture_verdicts(seed: int, names) -> dict:
+    """{model: verdicts} of one capture-shaped run, cut as the perfbench
+    capture workload cuts it, with its ``capture_spec`` and constants: the
+    qos preset's fulfillment phase, shortened to ``CAPTURE_TRAIN_S``, then
+    its drift phase.  Each model is fitted on the training capture and judges
+    ``CAPTURE_BATCHES`` consecutive batches from ``CAPTURE_TEST_OFFSET_S``
+    into the drift phase.  Both trees load the same workloads file, so they
+    judge the same shape."""
+    from driftwatch.detectors import DriftDetector
+    from driftwatch.scenario import generate
+
+    wl = workloads()
+    series, _ = generate(wl.capture_spec(seed))
+    t, v = series.times(), series.values()
+    first = wl.CAPTURE_TRAIN_S + wl.CAPTURE_TEST_OFFSET_S
+    starts = [first + wl.BATCH_S * i for i in range(CAPTURE_BATCHES)]
+    batches = [v[(t >= lo) & (t < lo + wl.BATCH_S)] for lo in starts]
+    out = {}
+    for name in names:
+        det = DriftDetector(name).fit(v[t < wl.CAPTURE_TRAIN_S])
+        out[name] = [det.evaluate(batch) for batch in batches]
+    return out
+
+
 def collect(models: str, seeds: int) -> dict:
-    """{run: {model: {"drift": [...], "score": [...], "accuracy": a, "fpr": f}}}
-    from the driftwatch on this interpreter's path, one run per preset and seed."""
+    """{"bench": runs, "capture": runs} from the driftwatch on this
+    interpreter's path, each of runs {run: {model: {"drift": [...],
+    "score": [...], "accuracy": a, "fpr": f}}}: one bench run per preset and
+    seed, and one capture-shaped run per seed."""
     from driftwatch.bench import accuracy, false_positive_rate
     from driftwatch.detectors import MODEL_NAMES
     from driftwatch.scenario import PRESETS
 
     names = MODEL_NAMES if models == "all" else tuple(m.strip() for m in models.split(","))
-    return {
+    bench = {
         f"{preset}/{seed}": {
             name: {"drift": [r.verdict.drift for r in mine],
                    "score": [r.verdict.score for r in mine],
@@ -72,6 +120,15 @@ def collect(models: str, seeds: int) -> dict:
         for preset in sorted(PRESETS)
         for seed in range(seeds)
     }
+    capture = {
+        f"capture/{seed}": {
+            name: {"drift": [v.drift for v in mine], "score": [v.score for v in mine],
+                   "accuracy": sum(v.drift for v in mine) / len(mine), "fpr": 0.0}
+            for name, mine in capture_verdicts(seed, names).items()
+        }
+        for seed in range(seeds)
+    }
+    return {"bench": bench, "capture": capture}
 
 
 def verdicts(trees: list[Path], models: str, seeds: int) -> list[dict]:
@@ -139,8 +196,10 @@ def main(argv=None) -> int:
     if args.collect:
         print(json.dumps(collect(args.models, args.seeds)))
         return 0
-    table = compare(*verdicts([args.parent, args.change], args.models, args.seeds))
-    print(render(table))
+    parent, change = verdicts([args.parent, args.change], args.models, args.seeds)
+    print(render(compare(parent["bench"], change["bench"])))
+    print("\ncapture-shaped runs (500-point fit, four 18-point drift batches per seed)")
+    print(render(compare(parent["capture"], change["capture"])))
     return 0
 
 

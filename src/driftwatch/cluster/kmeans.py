@@ -36,7 +36,8 @@ def kmeans(data, k: int, *, seed: int = 0) -> ClusterResult:
     labels = np.empty(x.size, dtype=np.intp)
     labels[order] = partitions(x[order], k, k)[0]
     result = from_labels(x, labels)
-    inertia = float(np.square(x - result.centroids[labels]).sum())
+    with np.errstate(over="ignore"):  # an inertia past the float range reads inf
+        inertia = float(np.square(x - result.centroids[labels]).sum())
     return replace(result, inertia=inertia, inertia_history=(inertia,))
 
 
@@ -50,9 +51,11 @@ def partitions(xs: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
     squared deviation of its values y from their mean, is sum(w*y^2) - S^2/W
     with W = sum(w) and S = sum(w*y).  The first term sums to the same for
     every partition, so the program minimizes the sum of -S^2/W, from prefix
-    sums of w and w*y (y shifted by the median value, so the sums stay at
-    the data's spread).  best_k[j], that least sum for k clusters over the
-    first j values, is the least best_{k-1}[i] - S(i, j)^2 / W(i, j) over
+    sums of w and w*y.  y is shifted by the median value and scaled by a
+    power of two to below 1 in magnitude: the scaling is exact, so the
+    partition is that of the unscaled values, and S^2 neither overflows nor
+    underflows at any scale of the data.  best_k[j], that least sum for k
+    clusters over the first j values, is the least best_{k-1}[i] - S(i, j)^2 / W(i, j) over
     splits i < j; the least such i is kept.  That split never decreases with
     j (the cost is Monge), so each block of BLOCK columns solves its last
     column over all splits first, and its other columns need only the splits
@@ -67,7 +70,9 @@ def partitions(xs: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
     k_top = min(k_hi, m)
     W, S = np.zeros((2, m + 1))
     W[1:m], W[m] = starts[1:], xs.size  # the points before each distinct value
-    np.cumsum((W[1:] - W[:-1]) * (xs[starts] - xs[xs.size // 2]), out=S[1:])
+    y = xs[starts] - xs[xs.size // 2]
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])  # |y| < 1
+    np.cumsum((W[1:] - W[:-1]) * y, out=S[1:])
     split = np.zeros((k_top + 1, m + 1), dtype=np.intp)
     best = np.full(m + 1, np.inf)
     best[1:] = -S[1:] ** 2 / W[1:]

@@ -1,4 +1,9 @@
-"""Silhouette scoring and silhouette-guided choice of cluster count."""
+"""Silhouette scoring and silhouette-guided choice of cluster count.
+
+``silhouette`` scores any labeling.  The search's candidates are optimal
+k-means partitions, each a labeling of the sorted values into contiguous
+runs, and ``_runs`` scores them all together.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +15,6 @@ from .result import from_labels
 
 __all__ = ["silhouette", "best_k_silhouette"]
 
-#: (labeling, cluster, point) cells scored in one stacked pass.  The seven
-#: candidates of an 18-point batch take 7 x 8 x 19 = 1,064 cells, so they are
-#: scored in one pass.  From 90 points up a pass holds at most 12 cluster rows,
-#: against 8 for the k = 8 candidate alone, so the scoring's memory stays
-#: linear in n and near that of one candidate at a time.
-CELLS = 1152
-
 
 def silhouette(data, labels) -> float:
     """Mean silhouette score in [-1, 1].
@@ -24,9 +22,18 @@ def silhouette(data, labels) -> float:
     Per point: a = mean distance to its own cluster, b = lowest mean distance
     to another cluster, score = (b - a) / max(a, b).  Singleton clusters
     contribute 0, as does the fully degenerate max(a, b) = 0 case.
+
+    For any y, the sum of |y - v| over a cluster's m sorted members v is
+    y*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < y) and pre the
+    prefix sums of v.  Both sides are shifted by the cluster's median member
+    first, so the prefix sums stay at cluster scale and the cancellation
+    stays small.
     """
     x = as_values(data, name="data", min_len=2)
-    labels = np.asarray(labels, dtype=int)
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (np.floor(raw) == raw)).all():
+        raise ValueError("labels must be whole numbers")
+    labels = raw.astype(int)
     if labels.shape != x.shape:
         raise ValueError("labels must align with data")
     if labels.min() < 0:
@@ -35,97 +42,62 @@ def silhouette(data, labels) -> float:
     if sizes.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     order = np.argsort(x, kind="stable")
-    return float(_stacked(x[order], order, inverse[order][None, :], sizes.size)[0])
-
-
-def _silhouettes(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray) -> np.ndarray:
-    """Silhouette of each row of ``labelings``, a compact labeling of the
-    sorted values ``xs = x[order]`` into at least 2 clusters.
-
-    The labelings are scored in chunks of consecutive rows: each chunk has
-    at most ``CELLS`` (labeling, cluster, point) cells, or is one labeling
-    that alone has more.
-    """
-    n = xs.size
-    chunks = []  # (first row, end row, clusters per labeling)
-    for row, k in enumerate((labelings.max(axis=1) + 1).tolist()):
-        if chunks and (row + 1 - chunks[-1][0]) * max(k, chunks[-1][2]) * (n + 1) <= CELLS:
-            chunks[-1] = (chunks[-1][0], row + 1, max(k, chunks[-1][2]))
-        else:
-            chunks.append((row, row + 1, k))
-    return np.concatenate([_stacked(xs, order, labelings[lo:hi], k) for lo, hi, k in chunks])
-
-
-def _stacked(xs: np.ndarray, order: np.ndarray, labelings: np.ndarray, k: int) -> np.ndarray:
-    """Silhouettes of the rows of ``labelings``, with labels below k, scored
-    together: every step runs once on (labeling, cluster, point) arrays,
-    flattened to one cluster row of cells per (labeling, cluster), with the
-    same per-element operations and per-row sums as scoring one labeling at
-    a time.
-
-    For any y, the sum of |y - v| over a cluster's sorted members v is
-    y*(2*below - m) - 2*pre[below] + pre[m] with below = #(v < y) and pre the
-    prefix sums of v.  Both sides are shifted by the cluster's median member
-    first, so the prefix sums stay at cluster scale and the cancellation stays
-    small.  The points are sorted once, so each cluster's prefix sums are a
-    running sum over its member mask, and below for the point at position p
-    is the number of members ahead of the first position whose shifted value
-    equals p's: the shift is monotone, so that is #(v < y) exactly as a binary
-    search over the members counts it.  A labeling with fewer than k clusters
-    leaves rows with no members; they get +inf before the nearest other
-    cluster is taken.
-    """
-    n = xs.size
-    rows = k * len(labelings)
-    pos = np.arange(n)
-    # The dels below keep at most four (rows, n) arrays alive at once: this
-    # scoring and the k-means program set the search's peak memory.
-    own = labelings + k * np.arange(len(labelings))[:, None]  # each point's cluster row
-    # keys: the members' cells (cluster row, point) in pre, cluster row by cluster row
-    keys = np.sort(own * (n + 1) + pos, axis=None, kind="stable")
-    size = np.bincount(own.ravel(), minlength=rows)
-    starts = size.cumsum() - size
-    # shift each row by its median member (a row with no members, by the last member)
-    y = np.subtract(xs, xs[keys.take(starts + size // 2, mode="clip") % (n + 1)][:, None])
-    pre = np.zeros((rows, n + 1))
-    pre[:, 1:][own, pos] = y[own, pos]
-    pre.cumsum(axis=1, out=pre)
-    # first: the cell of the first position in each row whose shifted value
-    # equals this one's, so the members ahead of it are exactly those below it.
-    runs = np.empty(y.shape, dtype=bool)
-    np.not_equal(y.ravel()[1:], y.ravel()[:-1], out=runs.ravel()[1:])
-    runs[:, 0] = True
-    first = np.where(runs, pos, 0)
-    del runs
-    np.maximum.accumulate(first, axis=1, out=first)
-    first += (n + 1) * np.arange(rows)[:, None]
-    twice_pre = pre.take(first)
-    twice_pre *= 2  # 2 * pre[below]
-    total = pre[:, n:].copy()  # pre[m]
-    del pre
-    # below: how many member cells (sorted, as the keys) lie ahead of first
-    below = keys.searchsorted(first)
-    del first
-    below *= 2
-    below -= (2 * starts + size)[:, None]  # 2 * below - m
-    y *= below
-    del below
-    y -= twice_pre
-    y += total  # y now holds the distance sums
-    del twice_pre
-    mine = size[own]
-    a = y[own, pos] / np.maximum(mine - 1, 1)
-    y /= np.maximum(size, 1)[:, None]
-    y[size == 0] = np.inf
-    y[own, pos] = np.inf
-    b = y.reshape(len(labelings), k, n).min(axis=1)
-    del y
+    xs, own = x[order], inverse[order]
+    a, b = np.zeros(x.size), np.full(x.size, np.inf)
+    for j, m in enumerate(sizes.tolist()):
+        mine = own == j
+        y = xs - xs[mine][m // 2]
+        members = y[mine]
+        pre = np.concatenate(([0.0], members)).cumsum()
+        below = members.searchsorted(y)
+        dist = y * (2 * below - m) - 2 * pre[below] + pre[m]
+        a = np.where(mine, dist / max(m - 1, 1), a)
+        b = np.where(mine, b, np.minimum(b, dist / m))
+    m = sizes[own]
     denom = np.maximum(a, b)
-    b -= a
-    score = np.divide(b, denom, out=np.zeros(b.shape), where=(mine > 1) & (denom > 0))
+    score = np.divide(b - a, denom, out=np.zeros(x.size), where=(m > 1) & (denom > 0))
     unsorted = np.empty_like(score)
-    unsorted[:, order] = score  # sum in the callers' point order, as a per-point loop would
-    return unsorted.sum(axis=1) / n
+    unsorted[order] = score  # sum in the caller's point order
+    return float(unsorted.sum() / x.size)
+
+
+def _runs(xs: np.ndarray, labelings: np.ndarray) -> np.ndarray:
+    """Silhouette of each row of ``labelings``, a labeling of the sorted
+    values ``xs`` into at least 2 contiguous runs, numbered 0, 1, ... in
+    order of value.
+
+    Each run [s, e) is shifted by its median member, and ``pre`` is the one
+    prefix sum of the shifted values y.  The point at position p then has
+    distance sum y*(2p - s - e) - 2*pre[p] + pre[s] + pre[e] to its own run.
+    Every other run lies wholly on one side of it, so the nearest one is a
+    neighbouring run; its mean distance is a difference of means, from
+    small (labeling, run) tables.  Rows with fewer runs than the most are
+    padded with empty runs, which read +inf, as does the missing left
+    neighbour of run 0.
+    """
+    n = xs.size
+    k = int(labelings[:, -1].max()) + 1  # runs per row, padded to the most
+    cells = labelings + k * np.arange(len(labelings))[:, None]  # each point's (row, run) cell
+    size = np.bincount(cells.ravel(), minlength=k * len(labelings)).reshape(-1, k)
+    end = size.cumsum(axis=1)
+    start = end - size
+    shift = xs.take(start + size // 2, mode="clip")
+    y = xs - shift.take(cells)
+    pre = np.zeros((len(labelings), n + 1))
+    np.cumsum(y, axis=1, out=pre[:, 1:])
+    pre_s, pre_e = np.take_along_axis(pre, start, axis=1), np.take_along_axis(pre, end, axis=1)
+    own = y * (2 * np.arange(n) - (start + end).take(cells)) - 2 * pre[:, :-1] + (pre_s + pre_e).take(cells)
+    mean = (pre_e - pre_s) / np.maximum(size, 1)
+    gap = shift[:, 1:] - shift[:, :-1]
+    left, right = np.full((2,) + size.shape, np.inf)
+    left[:, 1:] = gap - mean[:, :-1]  # y + left: the mean distance to the run below
+    right[:, :-1] = np.where(size[:, 1:] > 0, mean[:, 1:] + gap, np.inf)  # right - y: to the run above
+    m = size.take(cells)
+    a = own / np.maximum(m - 1, 1)
+    b = np.minimum(y + left.take(cells), right.take(cells) - y)
+    denom = np.maximum(a, b)
+    score = np.divide(b - a, denom, out=np.zeros(a.shape), where=(m > 1) & (denom > 0))
+    return score.sum(axis=1) / n
 
 
 def best_k_silhouette(data, k_min: int = 2, k_max: int = 8, *, seed: int = 0) -> int:
@@ -152,8 +124,8 @@ def best_k_fit(x: np.ndarray, k_min: int, k_max: int) -> tuple[int, np.ndarray]:
 def _search(x: np.ndarray, k_min: int, k_max: int):
     """(best k, its k-means labels).
 
-    One run of ``partitions`` gives every candidate's partition, and all of
-    them are scored from one sort of the data.
+    One run of ``partitions`` gives every candidate's partition, and
+    ``_runs`` scores them all from one sort of the data.
     """
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -164,7 +136,7 @@ def _search(x: np.ndarray, k_min: int, k_max: int):
         lo = hi = min(lo, distinct)
     candidates = partitions(xs, lo, hi)
     best, best_score = 0, -2.0
-    for c, score in enumerate(_silhouettes(xs, order, candidates).tolist() if hi > lo else ()):
+    for c, score in enumerate(_runs(xs, candidates).tolist() if hi > lo else ()):
         if score > best_score + 1e-12:
             best, best_score = c, score
     labels = np.empty(x.size, dtype=np.intp)

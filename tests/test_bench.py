@@ -329,7 +329,7 @@ class TestMemoryAccounting:
     @pytest.mark.parametrize("model", ["optics", "kmeans", "gmm"])
     def test_capture_scale_fit_is_within_2x_of_the_estimate(self, model):
         # a linear estimate must hold at n = 2000 too, where an N x N working set is 16x its
-        # n = 500 size, and where the silhouette search scores its candidates in chunks
+        # n = 500 size, and where the silhouette search holds (candidate, point) arrays
         n = 2000
         rng = np.random.default_rng(1)
         x = np.concatenate([rng.normal(1000.0, 40.0, n // 2), rng.normal(1600.0, 40.0, n - n // 2)])

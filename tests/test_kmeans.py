@@ -1,11 +1,9 @@
-import importlib
-
 import numpy as np
 import pytest
 
 from driftwatch.cluster import best_k_silhouette, kmeans, silhouette
 from driftwatch.cluster.kmeans import partitions
-from driftwatch.cluster.silhouette import _silhouettes, best_k_fit
+from driftwatch.cluster.silhouette import _runs, best_k_fit
 
 from oracles import (
     best_two_partition,
@@ -73,6 +71,20 @@ class TestKmeans:
         for offset in (100.0, -7.0, 1000.0):
             shifted = kmeans(data + offset, 3, seed=9)
             assert canonical(base.labels) == canonical(shifted.labels)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+    def test_power_of_two_scale_changes_no_label(self, scale):
+        # the program's sums of squares would under- or overflow at these scales
+        rng = np.random.default_rng(13)
+        blobs = np.concatenate([rng.normal(0, 1, 9), rng.normal(50, 1, 9)])
+        for data in (blobs, *(data for _, data in families(90, 2))):
+            for k in (2, 3, 5, 8):
+                base, scaled = kmeans(data, k), kmeans(data * scale, k)
+                assert np.array_equal(scaled.labels, base.labels), k
+                assert np.array_equal(scaled.centroids, base.centroids * scale), k
+            assert best_k_silhouette(data * scale) == best_k_silhouette(data)
+        assert best_k_silhouette(blobs * scale) == 2
+        assert kmeans(blobs * 2.0**600, 2).inertia == np.inf  # past the float range, without a warning
 
     def test_duplicate_heavy_data_compacts_clusters(self):
         res = kmeans([4.0, 4.0, 4.0, 4.0], 2, seed=0)
@@ -144,13 +156,23 @@ class TestSilhouette:
             if np.unique(labels).size < 2:
                 continue
             labels = np.array([int(v) for v in np.unique(labels, return_inverse=True)[1]])
-            mine = silhouette(data, labels)
-            assert -1.0 <= mine <= 1.0
-            assert mine == pytest.approx(silhouette_reference(data, labels), abs=1e-9)
+            # unsorted values, and duplicate-heavy ones, where equal values fall in different clusters
+            for values in (data, rng.choice(rng.uniform(0, 100, n // 2), n)):
+                mine = silhouette(values, labels)
+                assert -1.0 <= mine <= 1.0
+                assert mine == pytest.approx(silhouette_reference(values, labels), abs=1e-9)
 
     def test_requires_two_clusters(self):
         with pytest.raises(ValueError):
             silhouette([1, 2, 3], [0, 0, 0])
+
+    def test_refuses_fractional_and_non_finite_labels(self):
+        data = [1.0, 2.0, 10.0, 11.0]
+        for labels in ([0, 0.7, 1, 1.9], [0, 0, 1, np.nan], [0, 0, 1, np.inf]):
+            with pytest.raises(ValueError, match="labels"):
+                silhouette(data, labels)
+        # whole numbers held as floats are labels like any other
+        assert silhouette(data, [0.0, 0.0, 1.0, 1.0]) == silhouette(data, [0, 0, 1, 1])
 
     def test_singletons_contribute_zero(self):
         # cluster 1 is a singleton; its point adds 0 to the mean
@@ -183,69 +205,58 @@ class TestSilhouetteSearch:
             assert best_k_silhouette(data, 2, 8, seed=seed) == self.reference_best_k(data)
 
 
-class TestStackedScoring:
-    """The search scores its candidates in chunks of at most ``CELLS``
-    (candidate, cluster, point) cells; how they are chunked changes no bit."""
+class TestRunScoring:
+    """``_runs`` scores stacks of contiguous-run labelings of sorted values;
+    each row is the silhouette of its labeling."""
 
-    module = importlib.import_module("driftwatch.cluster.silhouette")
-
-    def chunks(self, monkeypatch, xs, order, labelings, cells=None):
-        """Scores of ``_silhouettes`` and the (candidates, clusters) of each chunk."""
-        if cells is not None:
-            monkeypatch.setattr(self.module, "CELLS", cells)
-        seen, stacked = [], self.module._stacked
-
-        def spy(xs, order, labelings, k):
-            seen.append((len(labelings), k))
-            return stacked(xs, order, labelings, k)
-
-        monkeypatch.setattr(self.module, "_stacked", spy)
-        scores = _silhouettes(xs, order, labelings)
-        monkeypatch.setattr(self.module, "_stacked", stacked)
-        return scores, seen
+    @staticmethod
+    def agree(xs, labelings, reference=True):
+        scores = _runs(xs, labelings)
+        assert scores.shape == (len(labelings),)
+        for row, score in zip(labelings, scores.tolist()):
+            assert score == pytest.approx(silhouette(xs, row), abs=1e-12)
+            if reference:
+                assert score == pytest.approx(silhouette_reference(xs, row), abs=1e-12)
 
     @pytest.mark.parametrize("n", [18, 40, 90, 200])
-    def test_any_chunking_gives_the_per_candidate_scores(self, monkeypatch, n):
-        for name, data in families(n, 3):
-            order = np.argsort(data, kind="stable")
-            xs = data[order]
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_candidates_score_as_their_silhouettes(self, n, shift):
+        for i, (name, data) in enumerate(families(n, 3)):
+            xs = np.sort(data) + shift
             hi = min(8, n - 1, np.unique(xs).size)
-            if hi < 3:
+            if hi < 2:
                 continue
-            candidates = partitions(xs, 2, hi)
-            default, _ = self.chunks(monkeypatch, xs, order, candidates)
-            one, seen = self.chunks(monkeypatch, xs, order, candidates, cells=1)
-            assert seen == [(1, k) for k in range(2, hi + 1)]
-            assert one.tobytes() == default.tobytes(), (n, name)
-            uneven, seen = self.chunks(monkeypatch, xs, order, candidates, cells=12 * (n + 1))
-            if hi == 8:  # 12 cluster rows a chunk: k = 2-4, 5-6, 7, 8
-                assert seen == [(3, 4), (2, 6), (1, 7), (1, 8)]
-            assert uneven.tobytes() == default.tobytes(), (n, name)
+            # the loop oracle is slow: at 200 points it checks one input of each family
+            self.agree(xs, partitions(xs, 2, hi), reference=n < 200 or i < 3)
 
-    def test_an_18_point_batch_is_scored_in_one_pass(self, monkeypatch):
-        data = mixture_data(np.random.default_rng(18), 18)
-        order = np.argsort(data, kind="stable")
-        candidates = partitions(data[order], 2, 8)
-        _, seen = self.chunks(monkeypatch, data[order], order, candidates)
-        assert seen == [(7, 8)]
+    def test_mixed_k_stacks_pad_empty_runs(self):
+        rng = np.random.default_rng(29)
+        for n in (18, 40, 90):
+            xs = np.sort(mixture_data(rng, n))
+            rows = partitions(xs, 2, 8)
+            for ks in ((8, 2), (2, 8, 5), (3,), (5, 5, 2, 7)):
+                self.agree(xs, rows[[k - 2 for k in ks]])
 
-    def test_one_labeling_scores_alike_alone_and_stacked(self, monkeypatch):
-        # silhouette() scores one labeling, in any order and of any k; stacked
-        # among candidates of other k it must score the same bit for bit
-        rng = np.random.default_rng(11)
-        for n in (5, 18, 60):
-            data = rng.choice(rng.uniform(0, 100, n // 2), n)  # duplicates
-            labels = np.unique(rng.integers(0, 3, n), return_inverse=True)[1]
-            if labels.max() == 0:
-                continue
-            order = np.argsort(data, kind="stable")
-            xs = data[order]
-            hi = min(8, n - 1, np.unique(xs).size)
-            stack = np.vstack([partitions(xs, 2, hi), labels[order]])
-            scores, seen = self.chunks(monkeypatch, xs, order, stack, cells=10**6)
-            assert len(seen) == 1
-            assert scores[-1] == silhouette(data, labels)
-            assert scores[-1] == pytest.approx(silhouette_reference(data, labels), abs=1e-9)
+    def test_singleton_runs_at_either_end(self):
+        xs = np.array([-40.0, 1.0, 1.5, 2.0, 2.5, 9.0, 9.5, 60.0])
+        stack = np.array([[0, 1, 1, 1, 1, 2, 2, 3],
+                          [0, 0, 0, 0, 0, 1, 1, 2],
+                          [0, 1, 1, 1, 1, 1, 1, 1],
+                          [0, 1, 1, 2, 2, 2, 3, 4]])
+        self.agree(xs, stack)
+        self.agree(xs[:2], np.array([[0, 1]]))  # two singletons score 0
+        assert _runs(xs[:2], np.array([[0, 1]])).tolist() == [0.0]
+
+    def test_duplicates(self):
+        rng = np.random.default_rng(31)
+        for n in (12, 18, 90):
+            xs = np.sort(rng.choice(rng.uniform(0, 100, 5), n))
+            hi = min(8, np.unique(xs).size)
+            self.agree(xs, partitions(xs, 2, hi))
+        # all of a run's values equal, and so the degenerate max(a, b) = 0
+        xs = np.array([3.0, 3.0, 3.0, 7.0, 7.0])
+        self.agree(xs, np.array([[0, 0, 0, 1, 1]]))
+        assert _runs(xs, np.array([[0, 0, 0, 1, 1]])).tolist() == [1.0]
 
 
 class TestBestK:

@@ -21,11 +21,29 @@ def run(drift, truth, score=None):
 def test_same_tree_has_no_flips(capsys):
     assert verdict_flips.main(["--parent", str(ROOT), "--change", str(ROOT),
                                "--models", "greedy", "--seeds", "1"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split()
-    model, flips, accuracy, record = row[:4]
-    assert model == "greedy" and flips.startswith("0/")
-    assert row[-1] == "0/" + flips.split("/")[1]  # no score changed either
-    assert (accuracy, record) == ("+0.0000", "(0/0/2)")  # one seed on each of the two presets
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("capture-shaped runs") and len(lines) == 6
+    # one seed on each of the two presets, and one capture-shaped run of four batches
+    for row, runs, records in ((lines[1].split(), 2, None), (lines[5].split(), 1, "4")):
+        model, flips, accuracy, record = row[:4]
+        assert model == "greedy" and flips.startswith("0/")
+        assert records is None or flips == "0/" + records
+        assert row[-1] == "0/" + flips.split("/")[1]  # no score changed either
+        assert (accuracy, record) == ("+0.0000", f"(0/0/{runs})")
+
+
+def test_capture_runs_fit_500_points_and_judge_four_drift_batches(monkeypatch):
+    from driftwatch.detectors import DriftDetector
+
+    calls = []
+    fit, evaluate = DriftDetector.fit, DriftDetector.evaluate
+    monkeypatch.setattr(DriftDetector, "fit", lambda det, x: calls.append(("fit", len(x))) or fit(det, x))
+    monkeypatch.setattr(DriftDetector, "evaluate",
+                        lambda det, x: calls.append(("evaluate", len(x))) or evaluate(det, x))
+    verdicts = verdict_flips.capture_verdicts(0, ["kmeans", "greedy"])
+    assert list(verdicts) == ["kmeans", "greedy"]
+    assert all(len(mine) == 4 for mine in verdicts.values())
+    assert calls == 2 * ([("fit", 500)] + 4 * [("evaluate", 18)])
 
 
 def test_a_synthetic_flip_is_counted():

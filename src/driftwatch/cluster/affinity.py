@@ -15,21 +15,26 @@ of S, R, A and T are in cache.  One pass finishes one iteration's
 availabilities and starts the next iteration's responsibilities on the same
 block; the column sums between them are one ``T.sum(axis=0)`` over the whole
 of T (numpy adds its rows in order; summing per block would round
-differently).  Blocking changes no value: every entry goes through the same
-float operations in the same order as in an unblocked sweep.
+differently).  Above one block, on two CPUs, a helper thread sweeps the
+second half of the blocks in lockstep.  Neither blocking nor the helper
+changes a value: every entry goes through the same float operations in the
+same order as in an unblocked sweep.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
-from ..validation import as_values, check_count
+from ..validation import as_values, check_count, squared_range
 from .result import NOISE, from_labels
 
 __all__ = ["affinity_propagation"]
 
-#: Matrix entries per block of rows: 256 KiB a matrix, 1 MiB for the four.
-BLOCK = 32_768
+#: Matrix entries per block of rows: 512 KiB a matrix, 2 MiB for the four (n <= 256: one block).
+BLOCK = 65_536
 
 
 def affinity_propagation(
@@ -62,18 +67,16 @@ def affinity_propagation(
 
 def _similarity(x: np.ndarray, preference: float | None) -> np.ndarray:
     """S: negative squared distances, the preference on the diagonal."""
-    n = x.size
-    S = -((x[:, None] - x[None, :]) ** 2)
     # The largest off-diagonal |S| is the squared range: rounding a
     # difference and squaring it are both monotone.
-    spread = float(np.ptp(x)) ** 2
+    spread = squared_range(x, "affinity")
     if preference is None:
         preference = -spread  # the lowest off-diagonal similarity
+    S = -((x[:, None] - x[None, :]) ** 2)
     # Deterministic degeneracy breaker: earlier points get an infinitesimally
     # higher self-preference, so exact ties elect the lowest index.
     scale = max(1.0, spread, abs(preference))
-    diag = np.arange(n)
-    S.reshape(-1)[diag * (n + 1)] = preference - diag * 1e-9 * scale
+    S.reshape(-1)[:: x.size + 1] = preference - np.arange(x.size) * 1e-9 * scale
     return S
 
 
@@ -82,41 +85,38 @@ def _pass_messages(S: np.ndarray, damping: float, max_iter: int, convergence_ite
     for ``convergence_iter`` iterations with at least one exemplar (None if
     it never does within ``max_iter``), and the last availabilities."""
     n = S.shape[0]
-    flat_diag = np.arange(n) * (n + 1)
     R = np.zeros((n, n))
     A = np.zeros((n, n))
     T = np.empty((n, n))
+    votes = np.empty(n)  # A + R on the diagonal; positive marks an exemplar
+    colsum = np.empty(n)
     height = max(1, BLOCK // n)
-    # Per block: its rows of S, R, A and T, flat views of them, the rows, each
-    # row's first entry in the flat views and the rows' diagonal entries there.
+    # Per block: its rows of S, R, A and T, flat views of S's and T's, its
+    # stretches of R's, A's and T's diagonals, colsum and votes, and row starts.
     blocks = []
     for lo in range(0, n, height):
         rows = slice(lo, min(lo + height, n))
-        h = rows.stop - lo
-        views = [M[rows] for M in (S, R, A, T)]
-        blocks.append((*views, *(v.reshape(-1) for v in views), rows,
-                       np.arange(0, h * n, n), flat_diag[:h] + lo))
+        Sb, Rb, Ab, Tb = (M[rows] for M in (S, R, A, T))
+        blocks.append((Sb, Rb, Ab, Tb, Sb.reshape(-1), Tb.reshape(-1),
+                       *(M.reshape(-1)[:: n + 1][rows] for M in (R, A, T)),
+                       colsum[rows], votes[rows], np.arange(0, Sb.size, n)))
     keep = 1.0 - damping
-    votes = np.empty(n)  # A + R on the diagonal; positive marks an exemplar
-    colsum = None
-    stable = 0
-    seen = bytes(n)  # the exemplar mask as bytes: none yet
 
-    # Pass p completes iteration p's availabilities (p >= 1) and computes
-    # iteration p + 1's responsibilities (p < max_iter).
-    for sweep in range(max_iter + 1):
-        for Sb, Rb, Ab, Tb, Sf, Rf, Af, Tf, rows, starts, own in blocks:
-            if colsum is not None:
+    # Pass p on the blocks ``part``: iteration p's availabilities (p >= 1), then
+    # iteration p + 1's responsibilities (p < max_iter), then a wait for the other half.
+    def sweep(part, p):
+        for Sb, Rb, Ab, Tb, Sf, Tf, Rd, Ad, Td, cs, vs, starts in part:
+            if p:
                 # T holds max(R, 0) with R's own diagonal; A <- damped
                 # min(0, colsum - T), the diagonal colsum - R.
                 np.subtract(colsum, Tb, out=Tb)
                 np.minimum(0.0, Tb, out=Tb)
-                Tf[own] = colsum[rows] - Rf[own]
+                np.subtract(cs, Rd, out=Td)
                 Ab *= damping
                 Tb *= keep
                 Ab += Tb
-                votes[rows] = Af[own] + Rf[own]
-            if sweep == max_iter:
+                np.add(Ad, Rd, out=vs)
+            if p == max_iter:
                 continue
             # R <- damped S minus the best rival A + S in the row: the row's
             # top entry, except at the top itself, which faces the runner-up.
@@ -132,16 +132,45 @@ def _pass_messages(S: np.ndarray, damping: float, max_iter: int, convergence_ite
             Tb *= keep
             Rb += Tb
             np.maximum(Rb, 0.0, out=Tb)
-            Tf[own] = Rf[own]
-        if colsum is not None:
-            current = votes > 0
-            key = current.tobytes()
-            if key == seen:
-                stable += 1
+            Td[:] = Rd
+        wait()
+
+    # A helper sweeps the second half of the blocks; both halves wait for each
+    # other before the convergence test and the column sums, and for those.
+    mine, wait, failure = blocks, lambda: None, []
+    if len(blocks) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        half, gate = (len(blocks) + 1) // 2, threading.Barrier(2)
+        mine, wait = blocks[:half], gate.wait
+        def helper():
+            try:
+                for p in range(max_iter + 1):
+                    sweep(blocks[half:], p)
+                    wait()  # while the caller tests and sums the columns
+            except threading.BrokenBarrierError:
+                pass  # the caller is done
+            except BaseException as exc:  # the caller re-raises it
+                failure.append(exc)
+                gate.abort()
+        thread = threading.Thread(target=helper, name="affinity-half")
+        thread.start()
+    stable = 0
+    seen = bytes(n)  # the exemplar mask as bytes: none yet
+    try:
+        for p in range(max_iter + 1):
+            sweep(mine, p)
+            if p:
+                current = votes > 0
+                key = current.tobytes()
+                stable = stable + 1 if key == seen else 0
+                seen = key
                 if stable >= convergence_iter and current.any():
                     return current, A
-            else:
-                stable = 0
-                seen = key
-        colsum = T.sum(axis=0)
-    return None, A
+            T.sum(axis=0, out=colsum)  # numpy adds T's rows in order
+            wait()
+        return None, A
+    except threading.BrokenBarrierError:
+        raise failure[0] from None  # the helper's error, which broke the barrier
+    finally:
+        if mine is not blocks:
+            gate.abort()
+            thread.join()

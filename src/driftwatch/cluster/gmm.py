@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..validation import as_values, check_count, check_positive
+from ..validation import as_values, check_count, check_positive, squared_range
 from .kmeans import kmeans
 from .result import ClusterResult
 
@@ -51,7 +51,7 @@ def gmm_em(x: np.ndarray, m: int, centroids, *, max_iter: int = 200, tol: float 
     """``gmm_fit``'s EM on checked values ``x``, from the centroids of ``kmeans(x, m)``."""
     n = x.size
     means = np.sort(np.resize(centroids, m))  # pad (rarely) by repetition
-    floor = 1e-6 * float(np.ptp(x)) ** 2 + 1e-12
+    floor = 1e-6 * squared_range(x, "gmm") + 1e-12
     assign = np.abs(x[:, None] - means[None, :]).argmin(axis=1)
     weights = np.maximum(np.bincount(assign, minlength=m) / n, 1e-3)
     weights /= weights.sum()

@@ -39,7 +39,7 @@ from .cluster import (
 from .cluster.dbscan import count_runs
 from .cluster.gmm import gmm_em
 from .cluster.silhouette import best_k_fit
-from .validation import as_values, check_count, check_positive
+from .validation import as_values, check_count, check_positive, squared_range
 
 __all__ = [
     "ModelType",
@@ -282,10 +282,11 @@ def _gap_rule(centres, memory) -> Rule:
 
 def _ap_preference(det, x):
     override = det.ap_preference_override  # default: the lowest pairwise similarity
-    return {"preference": -float(np.ptp(x)) ** 2 if override is None else float(override)}
+    return {"preference": -squared_range(x, "affinity") if override is None else float(override)}
 
 
 def _dbscan_eps(det, x):
+    squared_range(x, "dbscan")  # x.std() squares the deviations
     return {"eps": max(det.eps_factor * float(x.std()), 1e-9)}
 
 
@@ -294,6 +295,7 @@ def _hierarchical_threshold(det, x):
 
 
 def _ocsvm_fit(det, x):
+    squared_range(x, "ocsvm")  # x.var() and the RBF kernel square differences
     gamma = det.gamma_override
     if gamma is None:
         var = float(x.var())

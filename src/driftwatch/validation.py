@@ -32,6 +32,15 @@ def as_values(x: Any, *, name: str = "data", min_len: int = 1) -> np.ndarray:
     return arr
 
 
+def squared_range(x: np.ndarray, name: str) -> float:
+    """(max - min) ** 2 of checked values, the largest squared difference of
+    two; a ValueError naming ``name`` and the range when it overflows."""
+    spread = float(x.max()) - float(x.min())  # np.ptp, but inf rather than a warning
+    if not spread <= math.sqrt(np.finfo(float).max):
+        raise ValueError(f"{name}: the data's range {spread:.6g} is too wide: its square overflows float64")
+    return spread ** 2
+
+
 def check_positive(value: float, name: str, *, finite: bool = False, zero: bool = False) -> float:
     """Refuse a value that is not > 0 (not >= 0 with ``zero``) and, with
     ``finite``, +inf; the message names the bound the value misses."""

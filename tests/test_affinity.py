@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,95 @@ class TestDefaultPreference:
             S[np.arange(n), np.arange(n)] = preference
             assert max(1.0, float(np.abs(S).max())) == max(1.0, spread, abs(preference))
         assert_same(x)
+
+
+def messages(x, **kwargs):
+    """_pass_messages' exemplar mask (or None) and last availabilities as bytes."""
+    kwargs = {"damping": 0.9, "max_iter": 500, "convergence_iter": 15, **kwargs}
+    exemplars, A = affinity._pass_messages(affinity._similarity(x, None), **kwargs)
+    return None if exemplars is None else exemplars.tobytes(), A.tobytes()
+
+
+def helpers_alive():
+    return [t for t in threading.enumerate() if t.name == "affinity-half"]
+
+
+class TestLockstepHalves:
+    """Above one block, a helper thread sweeps the second half of the blocks.
+    The last availabilities and the exemplar mask equal those of one block
+    and those of one thread on the same blocks, bit for bit."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Two CPUs allowed, and the interpreter switches threads every
+        microsecond, so a race between the halves would show; lists the
+        names of the threads started."""
+        monkeypatch.setattr(affinity.os, "sched_getaffinity", lambda pid: {0, 1})
+        names = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (names.append(thread.name), start(thread))[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield names
+        finally:
+            sys.setswitchinterval(interval)
+
+    # n = 257, 500 and 513 make 2, 4 and 5 blocks, none of a height dividing n.
+    # The data converge after 52, 62 and 67 sweeps by default, so the runs
+    # stopped at max_iter 4 and 20 return None.
+    @pytest.mark.parametrize("n", [257, 500, 513])
+    @pytest.mark.parametrize("stop", [{}, {"convergence_iter": 1}, {"max_iter": 4}, {"max_iter": 20}],
+                             ids=["converged", "converged_early", "stopped_4", "stopped_20"])
+    def test_halves_match_one_block_and_one_thread(self, monkeypatch, started, n, stop):
+        x = capture_data(seed=1002, n=n)
+        threaded = messages(x, **stop)
+        assert started == ["affinity-half"] and not helpers_alive()
+        assert (threaded[0] is None) == ("max_iter" in stop)
+        with monkeypatch.context() as patch:
+            patch.setattr(affinity.os, "sched_getaffinity", lambda pid: {0})
+            assert messages(x, **stop) == threaded
+        monkeypatch.setattr(affinity, "BLOCK", n * n)
+        assert messages(x, **stop) == threaded
+        assert started == ["affinity-half"]  # neither reference started a helper
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_an_error_in_either_half_reaches_the_caller_and_no_thread_survives(
+            self, monkeypatch, started, side):
+        class Boom(RuntimeError):
+            pass
+
+        caller = []
+
+        class Numpy:
+            """affinity's numpy, whose maximum fails on the chosen side."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def maximum(*args, **kwargs):
+                if (threading.current_thread() is caller[0]) == (side == "caller"):
+                    raise Boom(threading.current_thread().name)
+                return np.maximum(*args, **kwargs)
+
+        monkeypatch.setattr(affinity, "np", Numpy())
+        x = capture_data(seed=1003, n=300)
+        raised = []
+
+        def call():
+            try:
+                messages(x)
+            except Boom as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=call, name="caller", daemon=True)
+        caller.append(runner)
+        runner.start()
+        runner.join(timeout=30)  # a hang fails the test rather than blocking the run
+        assert not runner.is_alive()
+        assert started == ["caller", "affinity-half"]
+        (error,) = raised
+        assert str(error) == ("caller" if side == "caller" else "affinity-half")
+        assert not helpers_alive()

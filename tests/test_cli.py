@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import fields
@@ -10,9 +11,11 @@ import pytest
 from driftwatch import cli, telemetry
 from driftwatch.bench import BenchProtocol, _run_scenario, run_scenario, score_run
 from driftwatch.cli import main
-from driftwatch.detectors import DriftDetector
+from driftwatch.detectors import MODEL_NAMES, DriftDetector
 from driftwatch.scenario import PRESETS, PhaseKind, PhaseSpec, ScenarioSpec, generate
 from driftwatch.telemetry import render_csv
+
+from test_detectors import HUGE, SQUARING, golden_pair, golden_verdicts, too_wide
 
 
 def run_cli(capsys, *args):
@@ -332,6 +335,26 @@ class TestDetect:
             "--train", str(train), "--test", str(test), "--margin", "0.1",
         )
         assert code == 1
+
+
+class TestDetectAtTheTopOfTheFloatRange:
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_exit_2_naming_the_model_or_the_golden_verdict(self, tmp_path, capsys, model):
+        paths = []
+        for name, values in zip(("train", "test"), golden_pair()):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("t,kbps\n" + "".join(f"{i / 2},{float(v * HUGE)!r}\n"
+                                                 for i, v in enumerate(values)))
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "detect", "--model", model,
+                                 "--train", paths[0], "--test", paths[1])
+        if model in SQUARING:
+            assert (code, out) == (2, "")
+            assert re.fullmatch("error: " + too_wide(model, golden_pair()[0] * HUGE) + ".*\n", err)
+            return
+        (line,) = json_lines(out)
+        assert code == int(line["drift"])
+        assert (line["drift"], line["score"]) == golden_verdicts()[model]
 
 
 class TestReplay:

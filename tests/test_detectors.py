@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from driftwatch.detectors import (
     verdict_record,
 )
 from driftwatch.telemetry import Batch
+from driftwatch.validation import squared_range
 
 from oracles import dbscan_reference, mixture_data
 
@@ -317,6 +319,13 @@ class TestDetectorInvariants:
         assert a == b
 
 
+def golden_pair():
+    """TestGoldenVerdicts' 90-point training set and 18-point batch."""
+    rng = np.random.default_rng(2024)
+    train = rng.normal(1200.0, 60.0, 90)
+    return train, np.concatenate([rng.normal(1250.0, 40.0, 12), rng.normal(1900.0, 40.0, 6)])
+
+
 class TestGoldenVerdicts:
     """Exact verdicts, detail text included, for every model on one seeded pair."""
 
@@ -343,15 +352,60 @@ class TestGoldenVerdicts:
 
     @pytest.mark.parametrize("model, drift, score, detail", GOLDEN)
     def test_verdict_is_pinned(self, model, drift, score, detail):
-        rng = np.random.default_rng(2024)
-        train = rng.normal(1200.0, 60.0, 90)
-        test = np.concatenate([rng.normal(1250.0, 40.0, 12), rng.normal(1900.0, 40.0, 6)])
+        train, test = golden_pair()
         verdict = DriftDetector(model).fit(train).evaluate(test)
         assert (verdict.drift, verdict.score, verdict.detail) == (drift, score, detail)
         assert type(verdict.drift) is bool and type(verdict.score) is float
 
     def test_every_model_is_pinned(self):
         assert sorted(m for m, *_ in self.GOLDEN) == sorted(MODEL_NAMES)
+
+
+def golden_verdicts():
+    """{model: (drift, score)} on the golden pair."""
+    return {model: (drift, score) for model, drift, score, _ in TestGoldenVerdicts.GOLDEN}
+
+
+#: A power of two keeps every value exact, but squared differences overflow.
+HUGE = 2.0 ** 600
+#: The models whose engines or reference statistics square differences.
+SQUARING = ("affinity", "dbscan", "gmm", "ocsvm")
+
+
+def too_wide(model, x):
+    """The error of a squaring model on values x, as a pattern."""
+    return re.escape(f"{model}: the data's range {float(np.ptp(x)):.6g} is too wide")
+
+
+class TestTopOfTheFloatRange:
+    """At 2**600 times the golden pair, a model that squares differences
+    refuses the data with one ValueError naming the model and the range; the
+    others give the golden verdict."""
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_fit_refuses_or_keeps_the_golden_verdict(self, model):
+        train, test = golden_pair()
+        det = DriftDetector(model)
+        if model in SQUARING:
+            with pytest.raises(ValueError, match="^" + too_wide(model, train * HUGE)):
+                det.fit(train * HUGE)
+            return
+        verdict = det.fit(train * HUGE).evaluate(test * HUGE)
+        assert (verdict.drift, verdict.score) == golden_verdicts()[model]
+
+    def test_the_widest_range_that_squares_is_exact(self):
+        widest = math.sqrt(np.finfo(float).max)
+        assert squared_range(np.array([0.0, widest]), "m") == widest ** 2
+        for x in ([0.0, math.nextafter(widest, math.inf)], [-1e308, 1e308]):  # 1e308 - -1e308 = inf
+            with pytest.raises(ValueError, match="^m: the data's range"):
+                squared_range(np.array(x), "m")
+
+    @pytest.mark.parametrize("model", ["affinity", "gmm"])
+    def test_an_engine_refuses_a_batch_it_cannot_square(self, model):
+        train, test = golden_pair()
+        det = DriftDetector(model).fit(train)
+        with pytest.raises(ValueError, match="^" + too_wide(model, test * HUGE)):
+            det.evaluate(test * HUGE)
 
 
 class TestVerdictRecord:
